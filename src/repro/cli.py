@@ -142,8 +142,9 @@ def _add_compiled_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--compiled-dtype", default="float64", choices=["float64", "float32"],
-        help="replay arithmetic dtype; float32 trades a small documented "
-             "tolerance for speed (training updates stay float64)",
+        help="single-observation replay dtype; float32 trades a small "
+             "documented tolerance (batched forwards and training updates "
+             "stay float64)",
     )
 
 
@@ -313,9 +314,6 @@ def cmd_train(args) -> int:
                 checkpoint_every=spec.checkpoint_every,
                 checkpoint_path=args.checkpoint,
             )
-            train_comp = getattr(trainer.updater, "_train_compiler", None)
-            if train_comp is not None:
-                train_comp.publish_metrics(obs.METRICS)
     finally:
         close = getattr(trainer, "close", None)  # worker pools need teardown
         if close is not None:

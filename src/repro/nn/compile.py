@@ -1,30 +1,38 @@
-"""Tape-free compiled inference: capture/replay of no-grad forwards.
+"""Capture/replay engines: compiled no-grad forwards and training steps.
 
 The training stack pays, on every op, for machinery that inference never
 uses: ``Tensor`` wrappers, backward-closure construction, version-counter
 snapshots, anomaly scans, and a fresh allocation per intermediate.  Paper
 Fig. 7 measures exactly this path (per-decision forward latency), so
-:class:`InferenceCompiler` removes it:
+:class:`InferenceCompiler` removes it along two routes:
 
-* the **first** call for a given shape signature runs the normal
-  ``Module.forward`` under a capture hook (:data:`repro.nn.tensor._CAPTURE`)
-  that records the flat op sequence — op kind, operand slots, baked
-  parameters, output shape;
-* **replays** execute that plan as raw NumPy: each step is one ufunc/BLAS
-  call writing into a preallocated buffer drawn from a shape-bucketed
-  :class:`BufferArena` — no Tensor objects, no tape, no version counters, no
-  anomaly hooks.
+* **single-observation forwards** (dense or sparse adjacency, with the
+  within-instant embedding memo) are captured generically: the first call
+  for a given shape signature runs the normal ``Module.forward`` under a
+  capture hook (:data:`repro.nn.tensor._CAPTURE`) that records the flat op
+  sequence — op kind, operand slots, baked parameters, output shape — and
+  replays execute that plan as raw NumPy, each step one ufunc/BLAS call
+  writing into a buffer the plan holds.  Plans are keyed by the
+  caller-supplied shape signature and evicted LRU;
+* **batched forwards** run the fused forward program shared with the
+  compiled training step (:func:`_fused_forward`).  Its plans are keyed on
+  structure alone — batch size, feature width and whether any member may
+  pass (∅) — so member node and ready counts never cause a recapture, and
+  each key's first result is checked bitwise against the reference
+  forward before the plan is admitted.
 
-Because the window size varies per decision, plans (and their buffers) are
-keyed by a caller-supplied shape signature and evicted LRU; an evicted
-plan's buffers return to the arena for reuse by the next plan of the same
-shapes.
+Plan memory lives in grow-only byte slabs drawn from a capacity-classed
+:class:`BufferArena`; a plan hands out reshaped views of its slabs, so a
+new node count reuses the slab it already holds.  Evicted plans return
+their slabs to the arena's pool, which is capped in bytes — held memory
+levels off at the plans' high-water marks.
 
 Correctness contract
 --------------------
 * Replay kernels mirror the exact NumPy expression of the reference op
   (e.g. ``mean`` stays a ``sum`` step followed by a ``truediv`` step), so a
-  float64 replay is **bit-identical** to the reference forward.
+  float64 replay is **bit-identical** to the reference forward.  Values
+  never depend on which slab holds them.
 * Operand arrays listed in ``inputs`` are *dynamic* (re-read every replay);
   :class:`~repro.nn.layers.Parameter` leaves are *live references* (their
   ``data`` is read per replay, so ``load_state_dict``/optimizer writes are
@@ -34,32 +42,35 @@ Correctness contract
   exact outputs) when grad or anomaly mode is active, when a capture is
   already running, or when the traced function produced tensors through an
   unhooked op (detected by comparing the op count against the recorded step
-  count).  Structurally untraceable functions are remembered per key so
-  later calls skip straight to the reference path.
+  count).  Structurally untraceable functions, and batched keys whose first
+  fused result differed from the reference, are remembered per key so later
+  calls skip straight to the reference path.
 * Version counters are bypassed *by construction*: a replay performs no
-  tensor writes at all — it only reads parameter buffers and writes arena
+  tensor writes at all — it only reads parameter buffers and writes plan
   buffers the autograd tape has never seen — which is exactly the situation
   the PR 2 sanitizers exist to police on the training path.  No-grad
   execution has no backward closures that could capture a stale buffer, so
   skipping the counters loses nothing.
 
-``dtype="float32"`` runs the whole replay in single precision: parameters
-are cast once per :attr:`~repro.nn.tensor.Tensor.version` (so a
+``dtype="float32"`` runs single-observation replays in single precision:
+parameters are cast once per :attr:`~repro.nn.tensor.Tensor.version` (so a
 ``state_dict`` load invalidates the cast), frozen (read-only) input arrays
 are cast once per object, and writable inputs are staged through per-plan
 buffers.  Replay outputs then differ from the reference by normal fp32
-rounding (see the parity tests for the documented tolerance).
+rounding (see the parity tests for the documented tolerance).  Batched
+forwards always run the float64 structural plan.
 
 Replay outputs are **borrowed**: they live in plan-owned buffers overwritten
 by the next replay of the same plan.  Copy before storing.
 
-The engine is single-threaded by design — one engine per agent per process
+The engines are single-threaded by design — one per agent per process
 (worker processes each build their own).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from math import prod
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -96,7 +107,7 @@ class CompileStats:
 
     __slots__ = (
         "plan_hits", "plan_misses", "plan_evictions", "fallbacks",
-        "replays", "memo_hits", "memo_misses",
+        "replays", "memo_hits", "memo_misses", "validation_failures",
     )
 
     def __init__(self) -> None:
@@ -107,6 +118,7 @@ class CompileStats:
         self.replays = 0
         self.memo_hits = 0
         self.memo_misses = 0
+        self.validation_failures = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {slot: getattr(self, slot) for slot in self.__slots__}
@@ -123,33 +135,109 @@ class CompileStats:
 
 
 class BufferArena:
-    """Shape-bucketed free list of NumPy buffers.
+    """Capacity-classed pool of byte slabs.
 
-    ``acquire`` pops a free buffer of exactly ``(shape, dtype)`` or allocates
-    one; ``release`` returns a buffer to its bucket.  Plans own their buffers
-    from capture until LRU eviction, so arena traffic only happens at plan
-    birth/death — replays never touch the allocator.
+    ``acquire(nbytes)`` hands out a flat ``uint8`` slab whose capacity is
+    ``nbytes`` rounded up to its class (eight classes per power of two, so
+    at most 12.5 % slack), popping a pooled slab of that class when one is
+    free.  ``release`` returns a slab to the pool; once the pooled bytes
+    would exceed ``max_free_bytes`` the slab is dropped instead, so the pool
+    never grows without bound.  :attr:`held_bytes` counts every slab handed
+    out and neither dropped nor discarded, plus the pool — the engine's
+    resident plan memory.
+
+    Plans never use a slab directly: :class:`_Slabs` views a prefix of it
+    as an array of any shape and dtype.
     """
 
+    #: smallest capacity class, in bytes
+    MIN_CLASS = 256
+    #: cap on the pooled (free) bytes
+    max_free_bytes = 16 << 20
+
     def __init__(self) -> None:
-        self._free: Dict[Tuple[Tuple[int, ...], str], List[np.ndarray]] = {}
-        self.allocated_bytes = 0
+        self._free: Dict[int, List[np.ndarray]] = {}
+        self.held_bytes = 0
+        self.free_bytes = 0
 
-    def acquire(self, shape: Tuple[int, ...], dtype: Any) -> np.ndarray:
-        dt = np.dtype(dtype)
-        bucket = self._free.get((tuple(shape), dt.str))
+    @classmethod
+    def capacity(cls, nbytes: int) -> int:
+        """The capacity class a request of ``nbytes`` is served from."""
+        if nbytes <= cls.MIN_CLASS:
+            return cls.MIN_CLASS
+        step = (1 << (nbytes.bit_length() - 1)) >> 3
+        return -(-nbytes // step) * step
+
+    def acquire(self, nbytes: int) -> np.ndarray:
+        size = self.capacity(nbytes)
+        bucket = self._free.get(size)
         if bucket:
+            self.free_bytes -= size
             return bucket.pop()
-        arr = np.empty(shape, dtype=dt)
-        self.allocated_bytes += arr.nbytes
-        return arr
+        self.held_bytes += size
+        return np.empty(size, dtype=np.uint8)
 
-    def release(self, arr: np.ndarray) -> None:
-        self._free.setdefault((arr.shape, arr.dtype.str), []).append(arr)
+    def release(self, slab: np.ndarray) -> None:
+        """Pool ``slab`` for reuse, or drop it when the pool is full."""
+        size = slab.nbytes
+        if self.free_bytes + size > self.max_free_bytes:
+            self.discard(slab)
+            return
+        self._free.setdefault(size, []).append(slab)
+        self.free_bytes += size
+
+    def discard(self, slab: np.ndarray) -> None:
+        """Stop holding ``slab``; the allocator takes it back once unused."""
+        self.held_bytes -= slab.nbytes
 
     @property
     def num_free(self) -> int:
         return sum(len(bucket) for bucket in self._free.values())
+
+
+class _Slabs:
+    """Named grow-only slabs of one plan, handed out as reshaped views.
+
+    ``buf(name, shape, dtype)`` returns a view of the slab called ``name``,
+    trading the slab for a larger one from the arena only when the request
+    outgrows it.  Node counts change from call to call; capacity reuse means
+    a plan's memory settles at its high-water mark instead of growing.
+    """
+
+    __slots__ = ("arena", "slabs", "views")
+
+    def __init__(self, arena: BufferArena) -> None:
+        self.arena = arena
+        self.slabs: Dict[str, np.ndarray] = {}
+        self.views: Dict[str, np.ndarray] = {}
+
+    def buf(
+        self, name: str, shape: Tuple[int, ...], dtype: Any = np.float64
+    ) -> np.ndarray:
+        view = self.views.get(name)
+        if view is not None and view.shape == shape and view.dtype == dtype:
+            return view
+        dt = np.dtype(dtype)
+        nbytes = int(prod(shape)) * dt.itemsize
+        slab = self.slabs.get(name)
+        if slab is None or slab.nbytes < nbytes:
+            if slab is not None:
+                # outgrown: a smaller class is no use to this plan, and rarely
+                # to any other, so it is not pooled
+                self.arena.discard(slab)
+            slab = self.arena.acquire(nbytes)
+            self.slabs[name] = slab
+        # a C-contiguous (shape, dtype) array over the front of the slab
+        view = slab[:nbytes].view(dt).reshape(shape)
+        self.views[name] = view
+        return view
+
+    def release(self) -> None:
+        """Return every slab to the arena (the plan is being dropped)."""
+        for slab in self.slabs.values():
+            self.arena.release(slab)
+        self.slabs.clear()
+        self.views.clear()
 
 
 class _Step:
@@ -169,26 +257,23 @@ class _Step:
 
 
 class _Plan:
-    """A captured op sequence plus its preallocated buffers."""
+    """A captured op sequence plus the slabs behind its step buffers."""
 
-    __slots__ = (
-        "steps", "outputs", "buffers", "scratch", "memo_step", "stage",
-    )
+    __slots__ = ("steps", "outputs", "mem", "scratch", "memo_step")
 
     def __init__(
         self,
         steps: List[_Step],
         outputs: Tuple[Tuple[int, Any], ...],
-        buffers: List[np.ndarray],
+        mem: _Slabs,
         memo_step: Optional[int],
     ) -> None:
         self.steps = steps
         self.outputs = outputs
-        self.buffers = buffers
+        #: one slab per writing step, plus float32 staging slabs of inputs
+        self.mem = mem
         self.scratch: List[Any] = [None] * len(steps)
         self.memo_step = memo_step
-        #: per-input staging buffers for the float32 cast of writable inputs
-        self.stage: Dict[str, np.ndarray] = {}
 
 
 class CaptureError(RuntimeError):
@@ -317,7 +402,7 @@ class _Capture:
         #: keep every sourced tensor alive so ids cannot be reused mid-capture
         self.keepalive: List[Tensor] = []
         self.steps: List[_Step] = []
-        self.buffers: List[np.ndarray] = []
+        self.mem = _Slabs(engine.arena)
         self.made = 0
         self.annotations: Dict[str, Tuple[int, Any]] = {}
         self.annotation_values: Dict[str, np.ndarray] = {}
@@ -360,11 +445,6 @@ class _Capture:
 
     # -- recording ------------------------------------------------------ #
 
-    def _buffer(self, shape: Tuple[int, ...], dtype: Any) -> np.ndarray:
-        buf = self.engine.arena.acquire(shape, dtype)
-        self.buffers.append(buf)
-        return buf
-
     def record(
         self,
         out: Tensor,
@@ -391,10 +471,9 @@ class _Capture:
     def _record(
         self, out: Tensor, op: str, operands: Sequence[Tensor], params: dict
     ) -> None:
-        dtype = self.engine.dtype
         args = tuple(self.source_of(t) for t in operands)
         shape = out._data.shape
-        buf: Optional[np.ndarray] = self._buffer(shape, dtype)
+        writes = True  # False for views and for steps that allocate their own
 
         if op in self._BINARY:
             kernel = _k_binary(self._BINARY[op])
@@ -411,9 +490,9 @@ class _Capture:
         elif op == "max":
             kernel = _k_max(params["axis"], params["keepdims"])
         elif op == "reshape":
-            kernel, buf = _k_reshape(shape), None  # view, no buffer
+            kernel, writes = _k_reshape(shape), False  # view
         elif op == "transpose":
-            kernel, buf = _k_transpose, None  # view, no buffer
+            kernel, writes = _k_transpose, False  # view
         elif op == "getitem":
             index = params["index"]
             if isinstance(index, np.ndarray):
@@ -431,7 +510,7 @@ class _Capture:
         elif op == "stack":
             kernel = _k_stack(params["axis"])
         elif op == "spmm":
-            kernel, buf = _k_spmm, None  # scipy allocates
+            kernel, writes = _k_spmm, False  # scipy allocates
             args = args + (self.array_source(params["matrix"]),)
         elif op == "segment_reduceat":
             kernel = _k_reduceat(params["ufunc"], params["starts"])
@@ -439,6 +518,9 @@ class _Capture:
             raise CaptureError(f"op {op!r} has no replay kernel")
 
         index = len(self.steps)
+        buf = (
+            self.mem.buf(f"s{index}", shape, self.engine.dtype) if writes else None
+        )
         self.steps.append(_Step(kernel, args, buf))
         self.sources[id(out)] = (_STEP, index)
         self.keepalive.append(out)
@@ -451,11 +533,13 @@ class InferenceCompiler:
     ----------
     dtype:
         ``"float64"`` (default; replays are bit-identical to the reference)
-        or ``"float32"`` (single-precision replays; weights cast once per
-        ``state_dict`` version).
+        or ``"float32"`` (single-precision single-observation replays;
+        weights cast once per ``state_dict`` version).  Batched forwards
+        (:meth:`run_batch`) always replay the float64 structural plan.
     max_plans:
-        LRU bound on cached plans; an evicted plan's buffers return to the
-        arena.
+        LRU bound on cached single-observation plans; an evicted plan's
+        slabs return to the arena's pool.  Batched keys are structural (a
+        handful per run) and share one set of slabs, so they are not bounded.
     memo_size:
         LRU bound on memoised annotated intermediates (the within-instant
         GCN-embedding memo).
@@ -483,6 +567,12 @@ class InferenceCompiler:
         self._f32 = self.dtype != np.float64
         self._plans: "OrderedDict[Any, _Plan]" = OrderedDict()
         self._uncompilable: set = set()  # keys only ever membership-tested
+        #: structural batched keys: validated ones replay the fused forward
+        #: into the shared batch slabs, demoted ones run the reference
+        self._batch_keys: set = set()
+        self._demoted: Dict[Any, str] = {}
+        self._batch_mem = _Slabs(self.arena)
+        self._net: Optional[_FusedNet] = None
         self._memo: "OrderedDict[Any, np.ndarray]" = OrderedDict()
         #: id(Parameter) -> (param, version, cast array) for float32 mode
         self._param_cache: Dict[int, Tuple[Tensor, int, np.ndarray]] = {}
@@ -525,11 +615,76 @@ class InferenceCompiler:
             return tuple(t.data for t in fn())
         return self._capture(key, fn, inputs, memo_key)
 
+    def run_batch(
+        self,
+        model: Any,
+        glue: Any,
+        reference: Callable[[], Tuple[Tensor, Tensor]],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Batched no-grad forward of ``model`` over prebuilt batch ``glue``.
+
+        Runs the fused forward program shared with the compiled training
+        step, on a plan keyed by structure alone: ``(batch size, feature
+        width, any ∅ member)``.  The first call for a key also runs
+        ``reference`` (the tensor forward over the same glue) and admits the
+        key only if logits and values agree bitwise; otherwise the key is
+        demoted to the reference for good and counted in
+        ``validation_failures``.  Every batched key writes into one shared
+        set of slabs, so returned arrays are borrowed until the next batched
+        call.  Returns ``(flat logits, values)``.
+        """
+        if (
+            tensor_mod.is_grad_enabled()
+            or tensor_mod.is_anomaly_enabled()
+            or tensor_mod._CAPTURE is not None
+            or not sp.isspmatrix_csr(glue.adj)
+            # the C core reads raw float64 pointers
+            or glue.adj.dtype != np.float64
+            or glue.feats.dtype != np.float64
+        ):
+            self.stats.fallbacks += 1
+            return _arrays(reference())
+        key = (glue.batch, glue.feats.shape[1], bool(glue.pass_idx.size))
+        net = self._net
+        if net is None or net.model is not model:
+            net = self._net = _FusedNet(model)
+        if key in self._batch_keys:
+            self.stats.plan_hits += 1
+            self.stats.replays += 1
+            fwd = _fused_forward(net, self._batch_mem, glue)
+            return fwd.logits, fwd.values
+        if key in self._demoted:
+            self.stats.fallbacks += 1
+            return _arrays(reference())
+        self.stats.plan_misses += 1
+        logits, values = _arrays(reference())
+        try:
+            fwd = _fused_forward(net, self._batch_mem, glue)
+        except Exception as exc:  # demote rather than ever break a forward
+            reason: Optional[str] = f"fused kernel failed: {exc!r}"
+        else:
+            reason = None
+            if not _bitwise_equal(fwd.logits, logits):
+                reason = "logits differ from the reference forward"
+            elif not _bitwise_equal(fwd.values, values):
+                reason = "values differ from the reference forward"
+        if reason is None:
+            self._batch_keys.add(key)
+        else:
+            self._demoted[key] = reason
+            self.stats.validation_failures += 1
+        return logits, values
+
     def stats_dict(self) -> Dict[str, float]:
-        """Counters plus arena gauges, as a flat dict (for logs/benchmarks)."""
+        """Counters plus arena gauges, as a flat dict (for logs/benchmarks).
+
+        ``arena_bytes`` is the plan memory the engine holds: the slabs of
+        every live single-observation plan, the batched forward's slabs and
+        the arena's free pool.
+        """
         out: Dict[str, float] = dict(self.stats.as_dict())
-        out["plans"] = len(self._plans)
-        out["arena_bytes"] = self.arena.allocated_bytes
+        out["plans"] = len(self._plans) + len(self._batch_keys)
+        out["arena_bytes"] = self.arena.held_bytes
         out["hit_rate"] = self.stats.hit_rate
         return out
 
@@ -565,8 +720,7 @@ class InferenceCompiler:
                 f"capture hooks"
             )
         if cap.taint_reason is not None:
-            for buf in cap.buffers:
-                self.arena.release(buf)
+            cap.mem.release()
             self._uncompilable.add(key)
             self.stats.fallbacks += 1
             return tuple(t.data for t in result)
@@ -577,16 +731,13 @@ class InferenceCompiler:
             for st in cap.steps
         ]
         plan = _Plan(
-            steps, tuple(self._prepare(s) for s in outputs), cap.buffers, memo_step
+            steps, tuple(self._prepare(s) for s in outputs), cap.mem, memo_step
         )
         self._plans[key] = plan
         if len(self._plans) > self.max_plans:
             _evicted_key, evicted = self._plans.popitem(last=False)
             self.stats.plan_evictions += 1
-            for buf in evicted.buffers:
-                self.arena.release(buf)
-            for buf in evicted.stage.values():
-                self.arena.release(buf)
+            evicted.mem.release()
         if memo_key is not None and memo_step is not None and self.memo_size:
             h = cap.annotation_values["gcn_embedding"]
             self._memo_put(memo_key, np.array(h, dtype=self.dtype))
@@ -692,10 +843,7 @@ class InferenceCompiler:
                 if not arr.flags.writeable:
                     bound[name] = self._frozen_cast(arr)
                 else:
-                    buf = plan.stage.get(name)
-                    if buf is None or buf.shape != arr.shape:
-                        buf = self.arena.acquire(arr.shape, self.dtype)
-                        plan.stage[name] = buf
+                    buf = plan.mem.buf(f"stage:{name}", arr.shape, self.dtype)
                     np.copyto(buf, arr)
                     bound[name] = buf
             else:
@@ -739,18 +887,13 @@ class InferenceCompiler:
 
 
 # ====================================================================== #
-# grad-mode capture/replay: the compiled training step
+# the fused forward program: batched inference and the training step
 # ====================================================================== #
 
 try:  # scipy's C kernel behind ``csr @ dense``, with a caller-owned output
     from scipy.sparse import _sparsetools
 except ImportError:  # pragma: no cover - exotic scipy builds
     _sparsetools = None
-
-#: functional ops whose capture taint only says "I baked a data-dependent
-#: constant" — the fused kernels re-derive those constants per call (max
-#: shifts, clip masks), so the taint is a note, not a structural refusal.
-_DATA_CONSTANT_OPS = ("segment_log_softmax", "clipped_surrogate")
 
 
 def _csr_matmul_out(csr: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -777,6 +920,167 @@ def _transpose_csr(csr: sp.csr_matrix) -> sp.csr_matrix:
         transpose = csr.T.tocsr()
         csr._cached_transpose_csr = transpose
     return transpose
+
+
+def _arrays(tensors: Sequence[Tensor]) -> Tuple[np.ndarray, ...]:
+    return tuple(t.data for t in tensors)
+
+
+def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Same shape, dtype and bytes (NaN payloads and signed zeros included)."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class _FusedNet:
+    """The agent's fixed module layout, bound once for the fused program.
+
+    The fused kernels read ``weight.data``/``bias.data`` at call time, so the
+    binding survives optimizer steps and ``load_state_dict``.  ``fusion`` is
+    the C fusion core, or None (no compiler, ``REPRO_NO_FUSION``, hidden
+    wider than its stack accumulators) for the pure-NumPy kernels; either
+    backend faces the same bitwise checks.
+    """
+
+    __slots__ = ("model", "convs", "task", "pass_", "value", "hidden", "fusion")
+
+    def __init__(self, model: Any) -> None:
+        from repro.nn import fusion
+
+        self.model = model
+        self.convs = list(model.gcn.convs)
+        self.task = model.task_score
+        self.pass_ = model.pass_score
+        self.value = model.value_head
+        self.hidden = self.convs[0].weight.data.shape[1] if self.convs else 0
+        self.fusion = (
+            fusion.load() if 0 < self.hidden <= fusion.MAX_WIDTH else None
+        )
+
+
+class _Forward:
+    """Intermediates of one fused forward, as views of the plan's slabs."""
+
+    __slots__ = (
+        "node_starts", "counts_col", "layer_out", "layer_mask", "mp",
+        "pooled", "pmask", "pcounts", "ready_h", "ctx", "values", "logits",
+    )
+
+
+def _fused_forward(net: _FusedNet, plan: _Slabs, glue: Any) -> _Forward:
+    """The batched forward as straight-line NumPy (plus the C core).
+
+    Mirrors :meth:`repro.rl.agent.ReadysAgent._forward_batch_tensors` op for
+    op — GCN stack, mean-pool value head, ready-row task scores, max-pool ‖
+    processor pass scores, batch-order permutation — writing every
+    intermediate into ``plan``'s slabs.  Returns the flat ``logits`` and
+    ``values`` plus what the training step's backward reads.  Both callers
+    check the result bitwise against the tape before trusting a plan.
+    """
+    fu = net.fusion
+    feats = glue.feats
+    adj = glue.adj
+    n = glue.batch
+    m = feats.shape[0]
+    hidden = net.hidden
+    fwd = _Forward()
+
+    # ---- GCN stack (matmul → spmm → +bias → relu) ---- #
+    node_counts = np.bincount(glue.graph_ids, minlength=n)
+    node_starts = np.concatenate(([0], np.cumsum(node_counts[:-1])))
+    hw = plan.buf("hw", (m, hidden))
+    h: np.ndarray = feats
+    layer_out: List[np.ndarray] = []
+    layer_mask: List[np.ndarray] = []
+    for i, conv in enumerate(net.convs):
+        np.matmul(h, conv.weight.data, out=hw)
+        h_i = plan.buf(f"h{i}", (m, hidden))
+        mask = plan.buf(f"mask{i}", (m, hidden), np.bool_)
+        if fu is not None:
+            fu.spmm_bias_relu(
+                adj.indptr, adj.indices, adj.data, conv.bias.data, hw, h_i, mask
+            )
+        else:
+            _csr_matmul_out(adj, hw, h_i)
+            np.add(h_i, conv.bias.data, out=h_i)
+            np.greater(h_i, 0.0, out=mask)
+            np.fmax(h_i, 0.0, out=h_i)  # in place; bit-equal to np.where
+        layer_out.append(h_i)
+        layer_mask.append(mask)
+        h = h_i
+
+    # ---- value head over the mean-pooled embedding ---- #
+    counts_col = node_counts.astype(np.float64).reshape(n, 1)
+    mp = plan.buf("mp", (n, hidden))
+    pooled = pmask = pcounts = None
+    if fu is not None:
+        # one segment-cached sweep of h computes the mean-pool sums, the
+        # max pool, the tie mask and the tie counts (pass head backward
+        # inputs); tie counts are sums of exact small integers, so any
+        # association yields the reduceat bits
+        pooled = plan.buf("pooled", (n, hidden))
+        pmask = plan.buf("pmask", (m, hidden), np.bool_)
+        pcounts = plan.buf("pcounts", (n, hidden))
+        fu.pool_fwd(node_starts, h, mp, pooled, pmask, pcounts)
+    else:
+        np.add.reduceat(h, node_starts, axis=0, out=mp)
+    np.divide(mp, counts_col, out=mp)
+    vh = plan.buf("vh", (n, 1))
+    np.matmul(mp, net.value.weight.data, out=vh)
+    np.add(vh, net.value.bias.data, out=vh)
+
+    # ---- task scores over the ready rows ---- #
+    r = glue.ready_rows.size
+    ready_h = plan.buf("ready_h", (r, hidden))
+    np.take(h, glue.ready_rows, axis=0, out=ready_h)
+    task_s = plan.buf("task_s", (r, 1))
+    np.matmul(ready_h, net.task.weight.data, out=task_s)
+    np.add(task_s, net.task.bias.data, out=task_s)
+    s_total = int(glue.action_offsets[-1])
+    comb = plan.buf("comb", (s_total,))
+    comb[:r] = task_s.ravel()
+
+    # ---- pass scores over max-pool ‖ processor features ---- #
+    p_count = glue.pass_idx.size
+    ctx = None
+    if p_count:
+        if fu is None:
+            pooled = plan.buf("pooled", (n, hidden))
+            np.maximum.reduceat(h, node_starts, axis=0, out=pooled)
+        ctx = plan.buf("ctx", (p_count, hidden + glue.proc_stack.shape[1]))
+        ctx[:, :hidden] = pooled[glue.pass_idx]
+        ctx[:, hidden:] = glue.proc_stack
+        pass_s = plan.buf("pass_s", (p_count, 1))
+        np.matmul(ctx, net.pass_.weight.data, out=pass_s)
+        np.add(pass_s, net.pass_.bias.data, out=pass_s)
+        comb[r:] = pass_s.ravel()
+
+    # ---- logits: concat(task, pass) then batch-order permutation ---- #
+    logits = plan.buf("logits", (s_total,))
+    np.take(comb, glue.perm, out=logits)
+
+    fwd.node_starts = node_starts
+    fwd.counts_col = counts_col
+    fwd.layer_out = layer_out
+    fwd.layer_mask = layer_mask
+    fwd.mp = mp
+    fwd.pooled = pooled
+    fwd.pmask = pmask
+    fwd.pcounts = pcounts
+    fwd.ready_h = ready_h
+    fwd.ctx = ctx
+    fwd.values = vh.ravel()
+    fwd.logits = logits
+    return fwd
+
+
+# ====================================================================== #
+# grad-mode capture/replay: the compiled training step
+# ====================================================================== #
+
+#: functional ops whose capture taint only says "I baked a data-dependent
+#: constant" — the fused kernels re-derive those constants per call (max
+#: shifts, clip masks), so the taint is a note, not a structural refusal.
+_DATA_CONSTANT_OPS = ("segment_log_softmax", "clipped_surrogate")
 
 
 class TrainStats:
@@ -853,15 +1157,15 @@ class _TrainCapture:
         self.annotations[name] = t.shape
 
 
-class _TrainPlan:
-    """A validated fused training program plus its working buffers."""
+class _TrainPlan(_Slabs):
+    """A validated fused training program plus its working slabs."""
 
-    __slots__ = ("key", "kind", "buffers", "forward_ops", "backward_ops", "notes")
+    __slots__ = ("key", "kind", "forward_ops", "backward_ops", "notes")
 
-    def __init__(self, key: Any, kind: str) -> None:
+    def __init__(self, arena: BufferArena, key: Any, kind: str) -> None:
+        super().__init__(arena)
         self.key = key
         self.kind = kind
-        self.buffers: Dict[str, np.ndarray] = {}
         self.forward_ops: List[str] = []
         self.backward_ops: List[str] = []
         self.notes: List[str] = []
@@ -874,12 +1178,14 @@ class TrainingCompiler:
     width, advantage normalisation, stack depth)`` — the engine runs the
     *reference* loss construction on the autograd tape under a forward-op
     recorder and a backward trace (:func:`repro.nn.tensor.trace_backward`),
-    then executes its hand-fused NumPy mirror of that program (forward,
-    backward into a preallocated flat gradient arena, dead-branch gradients
-    elided) on the same inputs and the same live weights, and compares the
-    loss, the per-term stats and **every parameter gradient bitwise**.  Only
-    a bit-identical plan is kept; any mismatch marks the key permanently
-    uncompilable and every later call transparently runs the reference tape.
+    then executes its hand-fused NumPy mirror of that program (the forward
+    :func:`_fused_forward` that batched inference also runs, then the loss
+    and a backward into a preallocated flat gradient arena, dead-branch
+    gradients elided) on the same inputs and the same live weights, and
+    compares the loss, the per-term stats and **every parameter gradient
+    bitwise**.  Only a bit-identical plan is kept; any mismatch marks the
+    key permanently uncompilable and every later call transparently runs
+    the reference tape.
 
     Replays never build tensors: one pass of raw ufunc/BLAS/``reduceat``
     kernels writes gradients straight into per-parameter views of one flat
@@ -897,8 +1203,11 @@ class TrainingCompiler:
       backward trace already running, batches of one (they route through the
       single-observation forward), batches without a pass head, and
       non-CSR adjacency all fall back to the reference implementation;
-    * **plan LRU** — evicted plans return their buffers to the shared
-      :class:`BufferArena` for the next plan of the same shapes.
+    * **bounded memory** — each plan keeps one grow-only slab per working
+      buffer and hands out reshaped views, so the changing node counts of
+      successive batches reuse capacity instead of allocating; plans are
+      LRU-bounded and an evicted plan's slabs return to the
+      :class:`BufferArena` pool.
 
     After a fused step each ``p.grad`` is rebound to its (clipped) arena
     view — **borrowed** memory, overwritten by the next replay.
@@ -932,14 +1241,11 @@ class TrainingCompiler:
         # layers once and validate that the optimizer flattens parameters in
         # exactly that order, so gradient-arena offsets line up with the Adam
         # slot offsets
-        self._convs = list(agent.gcn.convs)
-        self._task = agent.task_score
-        self._pass = agent.pass_score
-        self._value = agent.value_head
+        net = self._net = _FusedNet(agent)
         expected: List[Any] = []
-        for conv in self._convs:
+        for conv in net.convs:
             expected.extend([conv.weight, conv.bias])
-        for head in (self._task, self._pass, self._value):
+        for head in (net.task, net.pass_, net.value):
             expected.extend([head.weight, head.bias])
         if [id(p) for p in optimizer.params] != [id(p) for p in expected]:
             raise ValueError(
@@ -953,19 +1259,10 @@ class TrainingCompiler:
             self._flat_grad[a:b].reshape(p.data.shape)
             for p, a, b in zip(optimizer.params, offsets[:-1], offsets[1:])
         ]
-        base = 2 * len(self._convs)
+        base = 2 * len(net.convs)
         self._iWt, self._ibt = base, base + 1
         self._iWp, self._ibp = base + 2, base + 3
         self._iWv, self._ibv = base + 4, base + 5
-
-        # the C fusion core streams the memory-bound segment/elementwise
-        # passes in single traversals; None (no compiler, REPRO_NO_FUSION,
-        # hidden wider than its stack accumulators) keeps the pure-NumPy
-        # kernels.  Either backend faces the same capture-time validation.
-        from repro.nn import fusion
-
-        hidden = self._convs[0].weight.data.shape[1] if self._convs else 0
-        self._fusion = fusion.load() if 0 < hidden <= fusion.MAX_WIDTH else None
 
     # ------------------------------------------------------------------ #
     # public API
@@ -1011,7 +1308,7 @@ class TrainingCompiler:
             glue.batch,
             glue.feats.shape[1],
             bool(consts.get("normalize_advantage", False)),
-            len(self._convs),
+            len(self._net.convs),
         )
         if key in self._uncompilable:
             self.stats.fallbacks += 1
@@ -1046,16 +1343,9 @@ class TrainingCompiler:
         out: Dict[str, float] = dict(self.stats.as_dict())
         out["plans"] = len(self._plans)
         out["uncompilable"] = len(self._uncompilable)
-        out["arena_bytes"] = self.arena.allocated_bytes
+        out["arena_bytes"] = self.arena.held_bytes
         out["hit_rate"] = self.stats.hit_rate
         return out
-
-    def publish_metrics(self, registry, prefix: str = "train_compile") -> None:
-        """Export the counters into a :class:`repro.obs` metrics registry."""
-        if not registry.enabled:
-            return
-        for name, value in self.stats_dict().items():
-            registry.gauge(f"{prefix}/{name}").set(float(value))
 
     # ------------------------------------------------------------------ #
     # capture
@@ -1088,27 +1378,27 @@ class TrainingCompiler:
         if cap.taint_reason is not None:
             self._refuse(key, cap.taint_reason)
             return self._finish_reference(aux, max_norm)
-        plan = _TrainPlan(key, kind)
+        plan = _TrainPlan(self.arena, key, kind)
         plan.forward_ops = list(cap.ops)
         plan.backward_ops = [op for op, _shape in btrace]
         plan.notes = list(cap.notes)
         try:
             fused = self._run_fused(plan, glue, actions, consts)
         except Exception as exc:  # refuse rather than ever corrupt training
-            self._release_plan(plan)
+            plan.release()
             self._refuse(key, f"fused kernel failed: {exc!r}")
             return self._finish_reference(aux, max_norm)
         mismatch = self._validate(loss, aux, fused)
         if mismatch is not None:
             self.stats.validation_failures += 1
-            self._release_plan(plan)
+            plan.release()
             self._refuse(key, f"capture validation failed: {mismatch}")
             return self._finish_reference(aux, max_norm)
         self._plans[key] = plan
         self.stats.captures += 1
         if len(self._plans) > self.max_plans:
             _evicted_key, evicted = self._plans.popitem(last=False)
-            self._release_plan(evicted)
+            evicted.release()
             self.stats.plan_evictions += 1
         # finish through the reference arrays: the arena holds bitwise-equal
         # gradients and clip+Adam both run the flat path, so the step is
@@ -1173,24 +1463,6 @@ class TrainingCompiler:
         self._uncompilable[key] = reason
         self.stats.fallbacks += 1
 
-    def _release_plan(self, plan: _TrainPlan) -> None:
-        for buffer in plan.buffers.values():
-            self.arena.release(buffer)
-        plan.buffers.clear()
-
-    def _buf(
-        self, plan: _TrainPlan, name: str, shape: Tuple[int, ...], dtype: Any = np.float64
-    ) -> np.ndarray:
-        """Plan-owned working buffer, recycled through the arena on reshape."""
-        buffer = plan.buffers.get(name)
-        if buffer is not None and buffer.shape == shape and buffer.dtype == dtype:
-            return buffer
-        if buffer is not None:
-            self.arena.release(buffer)
-        buffer = self.arena.acquire(shape, dtype)
-        plan.buffers[name] = buffer
-        return buffer
-
     # ------------------------------------------------------------------ #
     # the fused program
     # ------------------------------------------------------------------ #
@@ -1215,126 +1487,56 @@ class TrainingCompiler:
         traced = tracer is not None and tracer.enabled
         handle = tracer.begin("update/forward") if traced else None
 
-        fu = self._fusion
+        net = self._net
+        fu = net.fusion
         feats = glue.feats
         adj = glue.adj
         gids = glue.graph_ids
         n = glue.batch
         n_f = float(n)
         m = feats.shape[0]
-        hidden = self._convs[0].weight.data.shape[1]
-        num_layers = len(self._convs)
+        hidden = net.hidden
+        num_layers = len(net.convs)
 
-        # ---- forward: GCN stack (matmul → spmm → +bias → relu) ---- #
-        node_counts = np.bincount(gids, minlength=n)
-        node_starts = np.concatenate(([0], np.cumsum(node_counts[:-1])))
-        hw = self._buf(plan, "hw", (m, hidden))
-        h_prev: np.ndarray = feats
-        layer_out: List[np.ndarray] = []
-        layer_mask: List[np.ndarray] = []
-        for i, conv in enumerate(self._convs):
-            np.matmul(h_prev, conv.weight.data, out=hw)
-            h_i = self._buf(plan, f"h{i}", (m, hidden))
-            mask = self._buf(plan, f"mask{i}", (m, hidden), np.bool_)
-            if fu is not None:
-                fu.spmm_bias_relu(
-                    adj.indptr, adj.indices, adj.data, conv.bias.data,
-                    hw, h_i, mask,
-                )
-            else:
-                _csr_matmul_out(adj, hw, h_i)
-                np.add(h_i, conv.bias.data, out=h_i)
-                np.greater(h_i, 0.0, out=mask)
-                np.fmax(h_i, 0.0, out=h_i)  # in place; bit-equal to np.where
-            layer_out.append(h_i)
-            layer_mask.append(mask)
-            h_prev = h_i
-        h = h_prev
-
-        # ---- value head over the mean-pooled embedding ---- #
-        counts_col = node_counts.astype(np.float64).reshape(n, 1)
-        mp = self._buf(plan, "mp", (n, hidden))
-        if fu is not None:
-            # one segment-cached sweep of h computes the mean-pool sums, the
-            # max pool, the tie mask and the tie counts (pass head inputs);
-            # tie counts are sums of exact small integers, so any
-            # association yields the reduceat bits
-            pooled = self._buf(plan, "pooled", (n, hidden))
-            pmask = self._buf(plan, "pmask", (m, hidden), np.bool_)
-            pcounts = self._buf(plan, "pcounts", (n, hidden))
-            fu.pool_fwd(node_starts, h, mp, pooled, pmask, pcounts)
-        else:
-            np.add.reduceat(h, node_starts, axis=0, out=mp)
-        np.divide(mp, counts_col, out=mp)
-        vh = self._buf(plan, "vh", (n, 1))
-        np.matmul(mp, self._value.weight.data, out=vh)
-        np.add(vh, self._value.bias.data, out=vh)
-        values = vh.ravel()
-
-        # ---- task scores over the ready rows ---- #
+        fwd = _fused_forward(net, plan, glue)
+        layer_out, layer_mask = fwd.layer_out, fwd.layer_mask
+        h = layer_out[-1]
+        mp, counts_col, values = fwd.mp, fwd.counts_col, fwd.values
+        ready_h, ctx, pooled = fwd.ready_h, fwd.ctx, fwd.pooled
+        pmask, pcounts = fwd.pmask, fwd.pcounts
+        logits = fwd.logits
         r = glue.ready_rows.size
-        ready_h = self._buf(plan, "ready_h", (r, hidden))
-        np.take(h, glue.ready_rows, axis=0, out=ready_h)
-        task_s = self._buf(plan, "task_s", (r, 1))
-        np.matmul(ready_h, self._task.weight.data, out=task_s)
-        np.add(task_s, self._task.bias.data, out=task_s)
-
-        # ---- pass scores over max-pool ‖ processor features ---- #
         p_count = glue.pass_idx.size
-        s_total = int(glue.action_offsets[-1])
+        s_total = logits.shape[0]
         proc_dim = glue.proc_stack.shape[1]
-        if fu is None:
-            pooled = self._buf(plan, "pooled", (n, hidden))
-            pmask = self._buf(plan, "pmask", (m, hidden), np.bool_)
-            pcounts = self._buf(plan, "pcounts", (n, hidden))
-            np.maximum.reduceat(h, node_starts, axis=0, out=pooled)
-            gather_a = self._buf(plan, "gather_a", (m, hidden))
-            np.take(pooled, gids, axis=0, out=gather_a)
-            np.equal(h, gather_a, out=pmask)
-            gather_b = self._buf(plan, "gather_b", (m, hidden))
-            np.copyto(gather_b, pmask, casting="unsafe")
-            np.add.reduceat(gather_b, node_starts, axis=0, out=pcounts)
-        ctx = self._buf(plan, "ctx", (p_count, hidden + proc_dim))
-        ctx[:, :hidden] = pooled[glue.pass_idx]
-        ctx[:, hidden:] = glue.proc_stack
-        pass_s = self._buf(plan, "pass_s", (p_count, 1))
-        np.matmul(ctx, self._pass.weight.data, out=pass_s)
-        np.add(pass_s, self._pass.bias.data, out=pass_s)
-
-        # ---- logits: concat(task, pass) then batch-order permutation ---- #
-        comb = self._buf(plan, "comb", (s_total,))
-        comb[:r] = task_s.ravel()
-        comb[r:] = pass_s.ravel()
-        logits = self._buf(plan, "logits", (s_total,))
-        np.take(comb, glue.perm, out=logits)
 
         # ---- segment log-softmax over the per-graph action segments ---- #
         segs = np.repeat(np.arange(n), glue.num_actions)
         act_starts = glue.action_offsets[:-1]
-        shift = self._buf(plan, "shift", (n,))
+        shift = plan.buf("shift", (n,))
         np.maximum.reduceat(logits, act_starts, out=shift)
-        sg = self._buf(plan, "sg", (s_total,))
+        sg = plan.buf("sg", (s_total,))
         np.take(shift, segs, out=sg)
-        z = self._buf(plan, "z", (s_total,))
+        z = plan.buf("z", (s_total,))
         np.subtract(logits, sg, out=z)
         np.exp(z, out=z)
-        zs = self._buf(plan, "zs", (n,))
+        zs = plan.buf("zs", (n,))
         np.add.reduceat(z, act_starts, out=zs)
-        lse = self._buf(plan, "lse", (n,))
+        lse = plan.buf("lse", (n,))
         np.log(zs, out=lse)
         np.add(lse, shift, out=lse)
-        logp = self._buf(plan, "logp", (s_total,))
+        logp = plan.buf("logp", (s_total,))
         np.take(lse, segs, out=sg)
         np.subtract(logits, sg, out=logp)
         action_rows = act_starts + actions
-        logp_a = self._buf(plan, "logp_a", (n,))
+        logp_a = plan.buf("logp_a", (n,))
         np.take(logp, action_rows, out=logp_a)
 
         # ---- loss terms ---- #
         returns = np.asarray(consts["returns"], dtype=np.float64)
         vc = consts["value_coef"]
         ec = consts["entropy_coef"]
-        pl = self._buf(plan, "pl", (n,))
+        pl = plan.buf("pl", (n,))
         if plan.kind == "a2c":
             advantages = returns - values
             if consts["normalize_advantage"]:
@@ -1347,9 +1549,9 @@ class TrainingCompiler:
             old = np.asarray(consts["old_log_probs"], dtype=np.float64)
             advantages = np.asarray(consts["advantages"], dtype=np.float64)
             eps = consts["clip_epsilon"]
-            tdiff = self._buf(plan, "tdiff", (n,))
+            tdiff = plan.buf("tdiff", (n,))
             np.subtract(logp_a, old, out=tdiff)
-            ratio = self._buf(plan, "ratio", (n,))
+            ratio = plan.buf("ratio", (n,))
             np.exp(tdiff, out=ratio)
             lo, hi = 1.0 - eps, 1.0 + eps
             clipped = ((advantages >= 0.0) & (ratio > hi)) | (
@@ -1358,14 +1560,14 @@ class TrainingCompiler:
             neg_adv = np.where(clipped, 0.0, -advantages)
             np.multiply(ratio, neg_adv, out=pl)
         policy_loss = np.sum(pl) / n_f
-        diff = self._buf(plan, "diff", (n,))
+        diff = plan.buf("diff", (n,))
         np.subtract(values, returns, out=diff)
-        sq = self._buf(plan, "sq", (n,))
+        sq = plan.buf("sq", (n,))
         np.multiply(diff, diff, out=sq)
         value_loss = np.sum(sq) / n_f
-        pe = self._buf(plan, "pe", (s_total,))
+        pe = plan.buf("pe", (s_total,))
         np.exp(logp, out=pe)
-        em = self._buf(plan, "em", (s_total,))
+        em = plan.buf("em", (s_total,))
         np.multiply(pe, logp, out=em)
         entropy = (-np.sum(em)) / n_f
         loss = (policy_loss + value_loss * vc) - entropy * ec
@@ -1383,82 +1585,90 @@ class TrainingCompiler:
 
         # entropy → logp: contribution (1) through the p·logp product, then
         # (2) through exp, in the tape's accumulation order
-        glogp = self._buf(plan, "glogp", (s_total,))
+        glogp = plan.buf("glogp", (s_total,))
         np.multiply(pe, g_ent_sum, out=glogp)
         np.multiply(logp, g_ent_sum, out=em)  # em is dead; reuse as scratch
         np.multiply(em, pe, out=em)
         np.add(glogp, em, out=glogp)
 
         # value head (the tape runs this branch before the policy chain)
-        gdiff = self._buf(plan, "gdiff", (n,))
+        gdiff = plan.buf("gdiff", (n,))
         np.multiply(diff, g_sq_sum, out=gdiff)
         np.add(gdiff, gdiff, out=gdiff)  # diff feeds both mul operands
         gvb = gdiff.reshape(n, 1)
         np.matmul(mp.T, gvb, out=views[self._iWv])
         np.sum(gvb, axis=0, out=views[self._ibv])
-        gmp = self._buf(plan, "gmp", (n, hidden))
-        np.matmul(gvb, self._value.weight.data.T, out=gmp)
+        gmp = plan.buf("gmp", (n, hidden))
+        np.matmul(gvb, net.value.weight.data.T, out=gmp)
         np.divide(gmp, counts_col, out=gmp)
-        gh = self._buf(plan, "gh", (m, hidden))
+        gh = plan.buf("gh", (m, hidden))
         if fu is None:
             np.take(gmp, gids, axis=0, out=gh)  # h contribution (1): mean pool
 
         # policy seed → logp contribution (3): a zeros-scatter added in full,
         # mirroring the tape's whole-array `+=`
-        gseed = self._buf(plan, "gseed", (n,))
+        gseed = plan.buf("gseed", (n,))
         np.multiply(neg_adv, g_pl_sum, out=gseed)
         if plan.kind == "ppo":
             np.multiply(gseed, ratio, out=gseed)  # through exp(logp - old)
-        scat_a = self._buf(plan, "scat_a", (s_total,))
+        scat_a = plan.buf("scat_a", (s_total,))
         scat_a.fill(0.0)
         scat_a[action_rows] = gseed
         np.add(glogp, scat_a, out=glogp)
 
         # log-softmax backward (reduceat mirror of the lse chain)
-        gneg = self._buf(plan, "gneg", (s_total,))
+        gneg = plan.buf("gneg", (s_total,))
         np.negative(glogp, out=gneg)
-        glse = self._buf(plan, "glse", (n,))
+        glse = plan.buf("glse", (n,))
         glse.fill(0.0)
         np.add.at(glse, segs, gneg)  # lse[ids] gathers with duplicates
         np.divide(glse, zs, out=glse)
-        gz = self._buf(plan, "gz", (s_total,))
+        gz = plan.buf("gz", (s_total,))
         np.take(glse, segs, out=gz)
         np.multiply(gz, z, out=gz)
-        glogits = self._buf(plan, "glogits", (s_total,))
+        glogits = plan.buf("glogits", (s_total,))
         np.add(glogp, gz, out=glogits)
 
         # undo the batch-order permutation; split into task/pass halves
-        gcomb = self._buf(plan, "gcomb", (s_total,))
+        gcomb = plan.buf("gcomb", (s_total,))
         gcomb[glue.perm] = glogits
         gtask = gcomb[:r].reshape(r, 1)
         gpass = gcomb[r:].reshape(p_count, 1)
 
         # pass head backward → h contribution (2) through the max pool
         np.sum(gpass, axis=0, out=views[self._ibp])
-        gctx = self._buf(plan, "gctx", (p_count, hidden + proc_dim))
-        np.matmul(gpass, self._pass.weight.data.T, out=gctx)
+        gctx = plan.buf("gctx", (p_count, hidden + proc_dim))
+        np.matmul(gpass, net.pass_.weight.data.T, out=gctx)
         np.matmul(ctx.T, gpass, out=views[self._iWp])
-        gpooled = self._buf(plan, "gpooled", (n, hidden))
+        gpooled = plan.buf("gpooled", (n, hidden))
         gpooled.fill(0.0)
         gpooled[glue.pass_idx] = gctx[:, :hidden]
         if fu is None:
-            gather_a = plan.buffers["gather_a"]  # forward scratch, free
-            gather_b = plan.buffers["gather_b"]
+            # the max pool's tie mask and tie counts (the C core's pool_fwd
+            # produced them in the forward sweep)
+            pmask = plan.buf("pmask", (m, hidden), np.bool_)
+            pcounts = plan.buf("pcounts", (n, hidden))
+            gather_a = plan.buf("gather_a", (m, hidden))
+            np.take(pooled, gids, axis=0, out=gather_a)
+            np.equal(h, gather_a, out=pmask)
+            gather_b = plan.buf("gather_b", (m, hidden))
+            np.copyto(gather_b, pmask, casting="unsafe")
+            np.add.reduceat(gather_b, fwd.node_starts, axis=0, out=pcounts)
             np.take(gpooled, gids, axis=0, out=gather_a)
             np.take(pcounts, gids, axis=0, out=gather_b)
             np.divide(gather_a, gather_b, out=gather_a)
-            notm = self._buf(plan, "notm", (m, hidden), np.bool_)
+            notm = plan.buf("notm", (m, hidden), np.bool_)
             np.logical_not(pmask, out=notm)
             np.copyto(gather_a, 0.0, where=notm)
             np.add(gh, gather_a, out=gh)
 
         # task head backward → h contribution (3), a zeros-scatter in full
         np.sum(gtask, axis=0, out=views[self._ibt])
-        gready = self._buf(plan, "gready", (r, hidden))
-        np.matmul(gtask, self._task.weight.data.T, out=gready)
+        gready = plan.buf("gready", (r, hidden))
+        np.matmul(gtask, net.task.weight.data.T, out=gready)
         np.matmul(ready_h.T, gtask, out=views[self._iWt])
         if fu is None:
-            scat_h = self._buf(plan, "scat_h", (m, hidden))
+            scat_h = plan.buf("scat_h", (m, hidden))
             scat_h.fill(0.0)
             scat_h[glue.ready_rows] = gready
             np.add(gh, scat_h, out=gh)
@@ -1467,7 +1677,7 @@ class TrainingCompiler:
             # + ready-row scatter, in the tape's left-to-right accumulation
             # order (divide-before-gather is per-element IEEE-identical)
             np.divide(gpooled, pcounts, out=gpooled)
-            ready_inv = self._buf(plan, "ready_inv", (m,), np.int64)
+            ready_inv = plan.buf("ready_inv", (m,), np.int64)
             ready_inv.fill(-1)
             ready_inv[glue.ready_rows] = np.arange(r)
             fu.gh_accum(gids, ready_inv, gmp, gpooled, pmask, gready, gh)
@@ -1475,8 +1685,8 @@ class TrainingCompiler:
         # GCN stack backward, deepest layer first; the input-feature gradient
         # the tape computes and discards is simply never formed
         adj_t = _transpose_csr(adj)
-        ga = self._buf(plan, "ga", (m, hidden))
-        ghw = self._buf(plan, "ghw", (m, hidden))
+        ga = plan.buf("ga", (m, hidden))
+        ghw = plan.buf("ghw", (m, hidden))
         gcur = gh
         for i in range(num_layers - 1, -1, -1):
             if fu is not None:
@@ -1489,7 +1699,7 @@ class TrainingCompiler:
             h_in = feats if i == 0 else layer_out[i - 1]
             np.matmul(h_in.T, ghw, out=views[2 * i])
             if i > 0:
-                np.matmul(ghw, self._convs[i].weight.data.T, out=gh)
+                np.matmul(ghw, net.convs[i].weight.data.T, out=gh)
                 gcur = gh
 
         if traced:

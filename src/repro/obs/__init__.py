@@ -43,6 +43,7 @@ from repro.obs.metrics import (
     get_registry,
     iter_series,
     load_metrics_rows,
+    process_rss_mb,
     scalar_value,
 )
 from repro.obs.report import (
@@ -74,6 +75,7 @@ __all__ = [
     "get_registry",
     "iter_series",
     "load_metrics_rows",
+    "process_rss_mb",
     "scalar_value",
     # reporting
     "TraceData",

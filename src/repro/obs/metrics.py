@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs import clock
@@ -317,3 +318,13 @@ def scalar_value(
             value = row.get("value")
             return float(value) if value is not None else None
     return None
+
+
+def process_rss_mb() -> Optional[float]:
+    """This process's resident set size in MiB (None where ``/proc`` is absent)."""
+    try:
+        with open("/proc/self/statm", encoding="ascii") as fh:
+            pages = int(fh.read().split()[1])
+    except (OSError, IndexError, ValueError):
+        return None
+    return pages * os.sysconf("SC_PAGE_SIZE") / 2**20

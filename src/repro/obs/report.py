@@ -8,8 +8,10 @@ the gradient-update phase breakdown (forward / backward / optimizer shares,
 emitted by both the reference tape and the ``--compiled-train`` replay, so
 the two engines' per-phase costs are directly comparable), the learning
 curve (bucketed episode makespans, from the metrics series when available,
-else from ``episode_end`` trace events), training diagnostics and simulator
-utilization.
+else from ``episode_end`` trace events), training diagnostics, a health
+table (compile-engine plan hit rates, fallbacks and evictions, and whether
+arena bytes or process RSS are still growing over the second half of the
+run, with warnings past fixed thresholds) and simulator utilization.
 """
 
 from __future__ import annotations
@@ -219,6 +221,83 @@ def _episode_points(
     ]
 
 
+#: per-update health series (recorded by the trainers when metrics are on)
+ENGINE_PREFIXES = ("compile", "train_compile")
+
+#: a plan hit rate below this means the engine mostly captures, not replays
+HIT_RATE_FLOOR = 0.5
+
+#: growth over a run's second half that counts as "still growing"
+GROWTH_TOLERANCE = 0.05
+
+#: fewer per-update points than this cannot tell a plateau from growth
+MIN_GROWTH_POINTS = 8
+
+
+def _second_half_growth(points: List[Tuple[Optional[float], float]]) -> Optional[float]:
+    """Relative change from the midpoint to the last point (None if too short)."""
+    if len(points) < MIN_GROWTH_POINTS:
+        return None
+    mid, last = points[len(points) // 2][1], points[-1][1]
+    if mid <= 0.0:
+        return None if last <= 0.0 else float("inf")
+    return (last - mid) / mid
+
+
+def _health(metrics_rows: List[Dict[str, Any]]) -> Tuple[List[List[str]], List[str]]:
+    """Health table rows plus warnings: hit rates, arena and RSS growth."""
+    rows: List[List[str]] = []
+    warnings: List[str] = []
+
+    def growth_row(name: str, points, scale: float, unit: str) -> None:
+        growth = _second_half_growth(points)
+        status = "ok"
+        if growth is None:
+            shown = "n/a"
+        else:
+            shown = f"{growth:+.1%}"
+            if growth > GROWTH_TOLERANCE:
+                status = "WARN"
+                warnings.append(
+                    f"{name} still growing: {shown} over the second half of "
+                    f"the run (tolerance {GROWTH_TOLERANCE:.0%})"
+                )
+        rows.append([name, f"{points[-1][1] * scale:.2f} {unit}", shown, status])
+
+    for prefix in ENGINE_PREFIXES:
+        hit = list(iter_series(metrics_rows, f"{prefix}/hit_rate"))
+        if not hit:
+            continue
+        calls = sum(
+            points[-1][1]
+            for points in (
+                list(iter_series(metrics_rows, f"{prefix}/{name}"))
+                for name in ("plan_hits", "plan_misses", "fallbacks")
+            )
+            if points
+        )
+        rate = hit[-1][1]
+        status = "ok"
+        if calls > 0 and rate < HIT_RATE_FLOOR:
+            status = "WARN"
+            warnings.append(
+                f"{prefix}/hit_rate is {rate:.3f}, below {HIT_RATE_FLOOR}: "
+                "the engine captures more than it replays"
+            )
+        rows.append([f"{prefix}/hit_rate", f"{rate:.3f}", "", status])
+        arena = list(iter_series(metrics_rows, f"{prefix}/arena_bytes"))
+        if arena:
+            growth_row(f"{prefix}/arena_bytes", arena, 1.0 / 2**20, "MiB")
+        for name in ("fallbacks", "plan_evictions", "validation_failures"):
+            points = list(iter_series(metrics_rows, f"{prefix}/{name}"))
+            if points:
+                rows.append([f"{prefix}/{name}", f"{points[-1][1]:.0f}", "", ""])
+    rss = list(iter_series(metrics_rows, "proc/rss_mb"))
+    if rss:
+        growth_row("proc/rss_mb", rss, 1.0, "MiB")
+    return rows, warnings
+
+
 # --------------------------------------------------------------------------- #
 # the report
 # --------------------------------------------------------------------------- #
@@ -318,6 +397,22 @@ def render_report(
             lines.append("")
             lines.extend(_md_table(["metric", "points", "last value"], diag_rows))
             lines.append("")
+
+        health_rows, health_warnings = _health(metrics_rows)
+        if health_rows:
+            lines.append("## Health")
+            lines.append("")
+            lines.extend(
+                _md_table(
+                    ["signal", "last", "second-half growth", "status"],
+                    health_rows,
+                )
+            )
+            lines.append("")
+            for warning in health_warnings:
+                lines.append(f"- **warning:** {warning}")
+            if health_warnings:
+                lines.append("")
 
         busy = scalar_value(metrics_rows, "sim/busy_time", "counter")
         idle = scalar_value(metrics_rows, "sim/idle_time", "counter")

@@ -20,11 +20,13 @@ Compiled inference
 :meth:`ReadysAgent.enable_compiled` attaches an
 :class:`~repro.nn.compile.InferenceCompiler` to the agent.  While enabled,
 the no-grad policy helpers (:meth:`action_distribution`, :meth:`sample_action`,
-:meth:`greedy_action`, :meth:`state_value` and their batched variants) replay
-a captured op plan as raw NumPy instead of running the autograd forward; in
-float64 mode the replay is bit-identical, so schedules and learning curves do
-not change.  Every helper takes ``compiled=False`` as an escape hatch back to
-the reference path; the gradient-carrying entry points (:meth:`forward`,
+:meth:`greedy_action`, :meth:`state_value` and their batched variants) skip
+the autograd forward: single observations replay a captured op plan as raw
+NumPy, and batches run the fused forward program the compiled training step
+uses, on plans keyed by batch structure.  Float64 replays are
+bit-identical, so schedules and learning curves do not change.  Every
+helper takes ``compiled=False`` as an escape hatch back to the reference
+path; the gradient-carrying entry points (:meth:`forward`,
 :meth:`forward_batch_flat`) are never compiled.
 """
 
@@ -145,7 +147,8 @@ class ReadysAgent(Module):
 
         ``dtype="float64"`` (default) keeps replays bit-identical to the
         reference forward; ``"float32"`` trades ~1e-6 relative accuracy for
-        speed (weights are cast once per ``state_dict`` version).  Returns the
+        speed on single-observation replays (weights are cast once per
+        ``state_dict`` version; batched forwards stay float64).  Returns the
         engine so callers can read :attr:`~InferenceCompiler.stats`.
         """
         self._compiled = InferenceCompiler(
@@ -370,23 +373,11 @@ class ReadysAgent(Module):
     def _compiled_batch(
         self, obs_list: Sequence[Observation]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(flat_logits, values, action_offsets)`` via the engine."""
-        eng = self._compiled
+        """``(flat_logits, values, action_offsets)`` via the engine's
+        structural batched plan (borrowed buffers)."""
         glue = self._batch_glue(obs_list)
-        # per-member node/ready counts and ∅ flags determine every baked
-        # constant of the batched plan (graph ids, reduceat starts, perm)
-        key = (
-            "batch",
-            glue.feats.shape[1],
-            tuple(glue.sizes),
-            tuple(int(n) for n in glue.num_ready),
-            tuple(bool(o.allow_pass) for o in obs_list),
-        )
-        inputs = {"features": glue.feats, "adj": glue.adj, "ready": glue.ready_rows}
-        if glue.proc_stack is not None:
-            inputs["proc"] = glue.proc_stack
-        logits, values = eng.run(
-            key, lambda: self._forward_batch_tensors(glue), inputs
+        logits, values = self._compiled.run_batch(
+            self, glue, lambda: self._forward_batch_tensors(glue)
         )
         return logits, values, glue.action_offsets
 
@@ -506,8 +497,6 @@ class ReadysAgent(Module):
             )
             with no_grad():
                 flat, _, off = self._compiled_batch(obs_list)
-                if flat.dtype != np.float64:
-                    flat = flat.astype(np.float64)
                 starts = off[:-1]
                 counts = np.diff(off)
                 p = np.exp(flat - np.repeat(np.maximum.reduceat(flat, starts), counts))
@@ -603,7 +592,6 @@ class ReadysAgent(Module):
         if compiled and self._compiled is not None:
             with no_grad():
                 _, values, _ = self._compiled_batch(obs_list)
-                # copy out of the plan's borrowed buffer, promoting float32
-                return values.astype(np.float64, copy=True)
+                return values.copy()  # out of the plan's borrowed buffer
         with no_grad():
             return self.forward_batch_flat(obs_list).values.data.copy()

@@ -23,7 +23,7 @@ gym-style ``infos[k]["terminal_observation"]`` alongside the auto-reset.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -109,6 +109,26 @@ def default_agent(
         num_gcn_layers=num_gcn_layers if num_gcn_layers is not None else max(env.window, 1),
     )
     return ReadysAgent(config, rng=rng)
+
+
+def record_health(registry: Any, step: int, agent: ReadysAgent, updater: Any) -> None:
+    """Per-update health series: both compile engines' counters and RSS.
+
+    Writes one point per update to ``compile/*`` (the agent's inference
+    engine), ``train_compile/*`` (the updater's training compiler) — hit
+    rate, arena bytes, fallbacks, evictions and the rest of each
+    ``stats_dict()`` — and ``proc/rss_mb``, so ``report-run`` can tell a
+    plateau from a leak.
+    """
+    for prefix, stats in (
+        ("compile", agent.compile_stats()),
+        ("train_compile", updater.train_compile_stats()),
+    ):
+        for name, value in (stats or {}).items():
+            registry.record(f"{prefix}/{name}", float(value), step=step)
+    rss = obs.process_rss_mb()
+    if rss is not None:
+        registry.record("proc/rss_mb", rss, step=step)
 
 
 class ReadysTrainer:
@@ -344,6 +364,7 @@ class ReadysTrainer:
             registry.record("train/entropy", stats.entropy, step=update_index)
             registry.record("train/grad_norm", stats.grad_norm, step=update_index)
             registry.record("train/mean_return", stats.mean_return, step=update_index)
+            record_health(registry, update_index, self.agent, self.updater)
             for episode in range(episodes_before, self.result.num_episodes):
                 registry.record(
                     "episode/makespan",

@@ -49,7 +49,7 @@ from repro.nn.serialization import state_dict_from_bytes, state_dict_to_bytes
 from repro.obs import clock as obs_clock
 from repro.rl.a2c import A2CConfig, A2CUpdater, Transition
 from repro.rl.agent import AgentConfig, ReadysAgent
-from repro.rl.trainer import TrainResult, agent_config_for_spec
+from repro.rl.trainer import TrainResult, agent_config_for_spec, record_health
 from repro.sim.state import Observation
 from repro.sim.vec_env import VecSchedulingEnv
 from repro.spec import ExperimentSpec
@@ -566,6 +566,7 @@ class ParallelRolloutTrainer:
             registry.record(
                 "train/mean_return", stats.mean_return, step=round_index
             )
+            record_health(registry, round_index, self.agent, self.updater)
         self._record_alive()
 
     def train_updates(

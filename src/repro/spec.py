@@ -240,8 +240,9 @@ class ExperimentSpec:
     engine (:mod:`repro.nn.compile`); float64 replays are bit-identical to
     the reference interpreter, so results are unchanged — only faster"""
     compiled_dtype: str = "float64"
-    """replay arithmetic dtype: ``float64`` (bit-identical) or ``float32``
-    (faster, small documented tolerance; training updates stay float64)"""
+    """single-observation replay dtype: ``float64`` (bit-identical) or
+    ``float32`` (small documented tolerance); batched forwards and training
+    updates always run float64"""
     compiled_train: bool = False
     """run gradient updates through the capture/replay training compiler
     (:class:`repro.nn.compile.TrainingCompiler`): forward, backward, grad

@@ -23,6 +23,7 @@ from repro.nn import (
     functional as F,
     no_grad,
 )
+from repro.nn.compile import _Slabs
 from repro.nn.layers import GCNStack, Linear, Parameter, gcn_normalize_adjacency
 from repro.nn.sparse import gcn_normalize_adjacency_sparse
 
@@ -232,33 +233,93 @@ class TestPlanCacheAndArena:
         assert ("b",) not in eng._plans
 
     def test_evicted_buffers_return_to_arena(self, rng):
-        # eviction releases a plan's buffers *after* the incoming capture
-        # allocated its own, so the arena peaks at two plans' worth — and
-        # every further same-shape capture reuses the freed buffers
+        # eviction returns a plan's slabs to the arena pool *after* the
+        # incoming capture took its own, so held memory peaks at two plans'
+        # worth — and every further capture of the same capacity classes
+        # reuses the pooled slabs instead of allocating
         lin, run = small_head(rng)
         eng = InferenceCompiler(max_plans=1)
         x = fresh_inputs(rng)
         with no_grad():
             eng.run(("a",), lambda: (run(x),), {"x": x})
             eng.run(("b",), lambda: (run(x),), {"x": x})  # evicts a
-            steady = eng.arena.allocated_bytes
-            eng.run(("c",), lambda: (run(x),), {"x": x})  # reuses a's buffers
-            eng.run(("d",), lambda: (run(x),), {"x": x})
-        assert eng.arena.allocated_bytes == steady
+            steady = eng.arena.held_bytes
+            assert eng.arena.num_free > 0
+            eng.run(("c",), lambda: (run(x),), {"x": x})  # reuses a's slabs
+            # a different row count lands in the same capacity classes
+            y = fresh_inputs(rng, n=6)
+            eng.run(("d",), lambda: (run(y),), {"x": y})
+        assert eng.arena.held_bytes == steady
         assert eng.stats.plan_evictions == 3
 
     def test_arena_acquire_release_roundtrip(self):
+        # capacity reuse: a released slab serves any later request of its
+        # capacity class, whatever shape or dtype is viewed through it
         arena = BufferArena()
-        a = arena.acquire((3, 4), np.float64)
-        assert arena.allocated_bytes == a.nbytes
+        a = arena.acquire(3 * 4 * 8)
+        assert a.nbytes == BufferArena.MIN_CLASS
+        assert arena.held_bytes == a.nbytes
         arena.release(a)
         assert arena.num_free == 1
-        b = arena.acquire((3, 4), np.float64)
-        assert b is a  # exact-shape bucket reuse, no new allocation
-        assert arena.allocated_bytes == a.nbytes
-        c = arena.acquire((3, 4), np.float32)  # different dtype: new buffer
-        assert c.dtype == np.float32
-        assert arena.allocated_bytes == a.nbytes + c.nbytes
+        b = arena.acquire(5 * 4 * 4)  # other size, same class: no allocation
+        assert b is a
+        assert arena.held_bytes == a.nbytes
+        c = arena.acquire(5000)  # a larger class: a new slab
+        assert c.nbytes == BufferArena.capacity(5000) >= 5000
+        assert arena.held_bytes == a.nbytes + c.nbytes
+
+    def test_capacity_classes_bound_slack(self):
+        for nbytes in (1, 256, 257, 1000, 4096, 4097, 12345, 10**6 + 1):
+            cap = BufferArena.capacity(nbytes)
+            assert cap >= nbytes
+            assert cap <= max(BufferArena.MIN_CLASS, nbytes * 1.125)
+
+    def test_pool_byte_cap_drops_overflow(self):
+        arena = BufferArena()
+        arena.max_free_bytes = 300
+        a, b = arena.acquire(100), arena.acquire(100)
+        assert arena.held_bytes == 2 * BufferArena.MIN_CLASS
+        arena.release(a)
+        arena.release(b)  # the pool is full: b is dropped, not pooled
+        assert arena.num_free == 1
+        assert arena.held_bytes == BufferArena.MIN_CLASS == arena.free_bytes
+
+    def test_plan_slabs_grow_only_and_reuse_capacity(self, rng):
+        arena = BufferArena()
+        mem = _Slabs(arena)
+        big = mem.buf("h", (10, 4))
+        held = arena.held_bytes
+        small = mem.buf("h", (5, 4), np.float32)  # fits: a view of the same slab
+        assert small.shape == (5, 4) and small.dtype == np.float32
+        assert small.flags.c_contiguous and np.shares_memory(small, big)
+        assert arena.held_bytes == held
+        assert mem.buf("h", (5, 4), np.float32) is small  # cached view
+        grown = mem.buf("h", (200, 4))  # outgrown: one larger slab replaces it
+        assert not np.shares_memory(grown, big)
+        assert arena.held_bytes == BufferArena.capacity(200 * 4 * 8)
+        mem.release()
+        assert arena.num_free == 1 and arena.free_bytes == arena.held_bytes
+
+    def test_plan_buffers_match_writing_steps(self, rng):
+        # view steps (reshape/transpose) and allocating steps (spmm) write
+        # no buffer, so the plan must hold none for them
+        gcn = GCNStack(4, 8, 2, rng=rng)
+        csr = gcn_normalize_adjacency_sparse(
+            (rng.random((6, 6)) < 0.3).astype(np.float64)
+        )
+        x = rng.normal(size=(6, 4))
+
+        def run():
+            h = gcn(Tensor(x), csr)
+            return (h.reshape(-1).reshape(6, 8).T.sum(axis=1),)
+
+        eng = InferenceCompiler()
+        with no_grad():
+            eng.run(("k",), run, {"x": x})
+        (plan,) = eng._plans.values()
+        writing = sum(step.out is not None for step in plan.steps)
+        assert writing < len(plan.steps)
+        assert len(plan.mem.slabs) == writing
 
     def test_stats_dict_and_hit_rate(self, rng):
         lin, run = small_head(rng)

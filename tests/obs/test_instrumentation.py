@@ -219,6 +219,34 @@ class TestRegistryMetricsFromTraining:
         assert 0.0 < util <= 1.0
         obs.METRICS.reset()
 
+    def test_engine_health_recorded_every_update(self):
+        """Both compile engines' counters and RSS land once per update."""
+        envs = [
+            SchedulingEnv(
+                cholesky_dag(3), Platform(2, 2), CHOLESKY_DURATIONS,
+                GaussianNoise(0.2), window=2, rng=rng,
+            )
+            for rng in spawn_generators(0, 2)
+        ]
+        trainer = ReadysTrainer.from_components(
+            VecSchedulingEnv(envs), config=A2CConfig(unroll_length=5), rng=0
+        )
+        trainer.agent.enable_compiled()
+        trainer.updater.enable_compiled_train()
+        obs.METRICS.enabled = True
+        try:
+            trainer.train_updates(3)
+        finally:
+            obs.METRICS.enabled = False
+        for prefix in ("compile", "train_compile"):
+            for name in ("hit_rate", "arena_bytes", "fallbacks", "plan_evictions"):
+                points = obs.METRICS.series(f"{prefix}/{name}").points
+                assert [step for step, _ in points] == [0, 1, 2], (prefix, name)
+        arena = obs.METRICS.series("train_compile/arena_bytes").points
+        assert arena[-1][1] == trainer.updater.train_compile_stats()["arena_bytes"]
+        rss = obs.METRICS.series("proc/rss_mb").points
+        assert len(rss) == 3 and all(value > 0 for _, value in rss)
+
     def test_private_registry_unaffected_by_global(self):
         reg = MetricsRegistry()
         assert not reg.enabled

@@ -113,6 +113,49 @@ class TestRenderReport:
         check_span_nesting(load_trace(trace))
 
 
+def _record_health_run(tmp_path, hit_rate, arena, rss):
+    """A trace plus per-update health series shaped like a training run."""
+    trace, metrics = str(tmp_path / "t.jsonl"), str(tmp_path / "m.csv")
+    obs.start_trace(trace)
+    obs.TRACER.end(obs.TRACER.begin("update"))
+    obs.stop_trace()
+    reg = MetricsRegistry()
+    for step, (a, r) in enumerate(zip(arena, rss)):
+        reg.record("compile/hit_rate", hit_rate, step=step)
+        reg.record("compile/plan_hits", 10.0 * step, step=step)
+        reg.record("compile/plan_misses", 1.0, step=step)
+        reg.record("compile/fallbacks", 0.0, step=step)
+        reg.record("compile/plan_evictions", 0.0, step=step)
+        reg.record("compile/arena_bytes", a, step=step)
+        reg.record("proc/rss_mb", r, step=step)
+    reg.write(metrics)
+    return render_report(trace, metrics_path=metrics)
+
+
+class TestHealthSection:
+    def test_plateau_is_healthy(self, tmp_path):
+        report = _record_health_run(
+            tmp_path, 0.97, [2**20] * 3 + [2**21] * 17, [150.0 + 0.01 * i for i in range(20)]
+        )
+        assert "## Health" in report
+        assert "| compile/arena_bytes | 2.00 MiB | +0.0% | ok |" in report
+        assert "WARN" not in report and "**warning:**" not in report
+
+    def test_low_hit_rate_and_growth_warn(self, tmp_path):
+        report = _record_health_run(
+            tmp_path, 0.04, [2**20 * (i + 1) for i in range(20)],
+            [150.0 + 14.0 * i for i in range(20)],
+        )
+        assert "| compile/hit_rate | 0.040 |  | WARN |" in report
+        assert "compile/hit_rate is 0.040, below 0.5" in report
+        assert "compile/arena_bytes still growing" in report
+        assert "proc/rss_mb still growing" in report
+
+    def test_short_runs_do_not_judge_growth(self, tmp_path):
+        report = _record_health_run(tmp_path, 0.9, [1.0, 2.0, 4.0], [1.0, 2.0, 4.0])
+        assert "| proc/rss_mb | 4.00 MiB | n/a | ok |" in report
+
+
 class TestNestingCheck:
     def _base(self, tmp_path, lines):
         import json
