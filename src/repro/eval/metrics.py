@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -68,6 +67,9 @@ def mean_confidence_interval(
     mean = float(arr.mean())
     if arr.size == 1:
         return mean, mean, mean
+    # scipy.stats costs about a second to import and only this needs it
+    from scipy import stats
+
     sem = stats.sem(arr)
     half = float(sem * stats.t.ppf((1.0 + confidence) / 2.0, arr.size - 1))
     return mean, mean - half, mean + half

@@ -156,6 +156,25 @@ class TaskGraph:
         )
         return self._succ_indices[positions], counts
 
+    def structure_key(self) -> tuple:
+        """Hashable identity of the graph's structure: size, type count,
+        per-task types and the (sorted) edge list.
+
+        Structurally equal graphs have identical CSR arrays, features and
+        windows, so the simulator kernel and the batched state builder treat
+        them as one graph.  Computed once per graph.
+        """
+        key = self.__dict__.get("_structure_key")
+        if key is None:
+            key = (
+                self.num_tasks,
+                self.num_types,
+                self.task_types.tobytes(),
+                self.edges.tobytes(),
+            )
+            self.__dict__["_structure_key"] = key
+        return key
+
     def topological_order(self) -> np.ndarray:
         """A topological order of the tasks (copy)."""
         return self._topo_order.copy()

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy import sparse as sp
 
 from repro import obs as _obs
 from repro.nn import InferenceCompiler
@@ -117,6 +118,33 @@ class _BatchGlue:
     num_actions: np.ndarray
     action_offsets: np.ndarray
     perm: np.ndarray
+
+
+def _concat_blocks(obs_list: Sequence[Any], sizes: np.ndarray) -> sp.csr_matrix:
+    """Block-diagonal CSR of batch-built observations from their blocks'
+    CSR slices — bitwise :func:`block_diag_adjacency_sparse` over their
+    ``norm_adj``, without materialising any member adjacency."""
+    data, cols, counts, shifts = [], [], [], []
+    offset = 0
+    for o, size in zip(obs_list, sizes.tolist()):
+        d, c, n, lo = o._batch.member_block(o._member)
+        data.append(d)
+        cols.append(c)
+        counts.append(n)
+        shifts.append(offset - lo)
+        offset += size
+    nnz = np.fromiter((d.size for d in data), dtype=np.int64, count=len(data))
+    indptr = np.concatenate(
+        ([0], np.cumsum(np.concatenate(counts), dtype=np.int32)), dtype=np.int32
+    )
+    return sp.csr_matrix(
+        (
+            np.concatenate(data),
+            np.concatenate(cols) + np.repeat(np.asarray(shifts, dtype=np.int32), nnz),
+            indptr,
+        ),
+        shape=(offset, offset),
+    )
 
 
 class ReadysAgent(Module):
@@ -219,36 +247,62 @@ class ReadysAgent(Module):
 
     @staticmethod
     def _batch_glue(obs_list: Sequence[Observation]) -> _BatchGlue:
-        """Assemble the block-diagonal arrays of one batched forward."""
+        """Assemble the block-diagonal arrays of one batched forward.
+
+        Three sources, one result bitwise: the members of one
+        :class:`~repro.sim.state.ObservationBatch` in order reuse the batch's
+        arrays as they are; other batch-built observations (an update's
+        member-major unrolls, a bootstrap subset) concatenate their blocks'
+        CSR slices; anything else decomposes each ``norm_adj``.
+        """
         batch = len(obs_list)
-        sizes = [o.num_nodes for o in obs_list]
         for o in obs_list:
             if len(o.ready_positions) == 0:
                 raise ValueError("observation has no ready task — not a decision point")
-        feats = np.concatenate([o.features for o in obs_list], axis=0)
+        source = getattr(obs_list[0], "_batch", None)
+        if (
+            source is not None
+            and source.size == batch
+            and all(
+                getattr(o, "_batch", None) is source and o._member == i
+                for i, o in enumerate(obs_list)
+            )
+        ):
+            sizes = np.diff(source.node_offsets)
+            feats = source.features
+            adj = source.adjacency()
+            num_ready = np.diff(source.ready_offsets)
+            ready_rows = source.ready_rows
+            pass_idx = np.flatnonzero(source.allow_pass)
+            proc_stack = source.proc_features[pass_idx] if pass_idx.size else None
+        else:
+            sizes = np.array([o.num_nodes for o in obs_list])
+            feats = np.concatenate([o.features for o in obs_list], axis=0)
+            if all(hasattr(o, "_batch") for o in obs_list):
+                adj = _concat_blocks(obs_list, sizes)
+            else:
+                # CSR block-diagonal regardless of member format: one sparse
+                # matmul costs O(Σ nnz · h) while the dense form grows O((Σm)²)
+                adj = block_diag_adjacency_sparse([o.norm_adj for o in obs_list])
+            num_ready = np.array([len(o.ready_positions) for o in obs_list])
+            node_offsets = np.concatenate(([0], np.cumsum(sizes)))
+            ready_rows = np.concatenate(
+                [np.asarray(o.ready_positions) for o in obs_list]
+            ) + np.repeat(node_offsets[:-1], num_ready)
+            pass_idx = np.array(
+                [i for i, o in enumerate(obs_list) if o.allow_pass], dtype=np.int64
+            )
+            proc_stack = (
+                np.stack([obs_list[i].proc_features for i in pass_idx])
+                if pass_idx.size
+                else None
+            )
         graph_ids = np.repeat(np.arange(batch), sizes)
-        # CSR block-diagonal regardless of member format: one sparse matmul
-        # costs O(Σ nnz · h) while the dense form grows O((Σm)²).
-        adj = block_diag_adjacency_sparse([o.norm_adj for o in obs_list])
-
-        num_ready = np.array([len(o.ready_positions) for o in obs_list])
-        node_offsets = np.concatenate(([0], np.cumsum(sizes)))
-        ready_rows = np.concatenate(
-            [np.asarray(o.ready_positions) for o in obs_list]
-        ) + np.repeat(node_offsets[:-1], num_ready)
-
-        pass_idx = np.array(
-            [i for i, o in enumerate(obs_list) if o.allow_pass], dtype=np.int64
-        )
-        proc_stack = (
-            np.stack([obs_list[i].proc_features for i in pass_idx])
-            if pass_idx.size
-            else None
-        )
 
         # reorder [all task logits..., all pass logits...] to observation-major
         # [obs0 tasks, obs0 pass?, obs1 tasks, ...] with one gather.
-        num_actions = np.array([o.num_actions for o in obs_list])
+        num_actions = num_ready.copy()
+        num_actions[pass_idx] += 1
         action_offsets = np.concatenate(([0], np.cumsum(num_actions)))
         task_offsets = np.concatenate(([0], np.cumsum(num_ready)))
         total_tasks = int(task_offsets[-1])
@@ -265,7 +319,7 @@ class ReadysAgent(Module):
             )
         return _BatchGlue(
             batch=batch,
-            sizes=sizes,
+            sizes=sizes.tolist(),
             feats=feats,
             graph_ids=graph_ids,
             adj=adj,
@@ -529,11 +583,29 @@ class ReadysAgent(Module):
         rng: np.random.Generator,
         compiled: bool = True,
     ) -> np.ndarray:
-        """Draw one action per observation; one rng draw per env, in order."""
+        """Draw one action per observation; one rng draw per env, in order.
+
+        Bitwise ``[rng.choice(len(p), p=p) for p in probs]``:
+        ``Generator.choice`` inverts the normalised cumulative distribution
+        at one uniform draw, so B draws are one ``rng.random(B)`` against
+        the row-wise cumulative sums of the zero-padded probabilities.
+        """
         probs = self.action_distributions(obs_list, compiled=compiled)
-        return np.array(
-            [int(rng.choice(len(p), p=p)) for p in probs], dtype=np.int64
-        )
+        counts = np.fromiter(map(len, probs), dtype=np.int64, count=len(probs))
+        flat = np.concatenate(probs)
+        if not np.isfinite(flat).all():
+            # let Generator.choice raise its own error on a broken policy
+            return np.array(
+                [int(rng.choice(len(p), p=p)) for p in probs], dtype=np.int64
+            )
+        rows = np.arange(counts.size)
+        valid = np.arange(counts.max()) < counts[:, None]
+        cdf = np.zeros(valid.shape)
+        cdf[valid] = flat
+        np.cumsum(cdf, axis=1, out=cdf)
+        cdf /= cdf[rows, counts - 1][:, None]
+        # padding repeats the row total, 1.0 after the division: never <= u
+        return (cdf <= rng.random(counts.size)[:, None]).sum(axis=1)
 
     def greedy_actions(
         self, obs_list: Sequence[Observation], compiled: bool = True

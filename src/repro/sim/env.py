@@ -180,6 +180,16 @@ class SchedulingEnv:
         fully reproducible regardless of prior history.  The returned
         :class:`ResetResult` unpacks as ``obs, info``.
         """
+        info = self._reset_episode(seed)
+        obs = self._next_decision()
+        assert obs is not None, "a fresh episode must have a decision point"
+        self._current_obs = obs
+        return ResetResult(obs, info)
+
+    def _reset_episode(self, seed: SeedLike = None) -> dict:
+        """:meth:`reset` up to the first decision: bind a fresh episode and
+        return its info dict.  The vectorised wrapper calls this on
+        auto-reset and builds the first observation with its batch."""
         if seed is not None:
             self.rng = as_generator(seed)
         graph = self._sample_graph()
@@ -217,14 +227,10 @@ class SchedulingEnv:
         # fresh namespace per episode: keys of stale episodes must never hit
         self._memo_ns = next(_MEMO_NAMESPACE)
         self._memo_epoch = 0
-        obs = self._next_decision()
-        assert obs is not None, "a fresh episode must have a decision point"
-        self._current_obs = obs
-        info = {
+        return {
             "heft_makespan": self._baseline_makespan,
             "num_tasks": graph.num_tasks,
         }
-        return ResetResult(obs, info)
 
     # The decision loop is factored into four hooks so the vectorised
     # wrapper can drive many members through one fused kernel pass while
@@ -252,7 +258,9 @@ class SchedulingEnv:
         still waiting to be asked.
         """
         assert self.sim is not None
-        proc = int(self.rng.choice(candidates))
+        # bitwise ``rng.choice(candidates)`` (one bounded integer draw),
+        # without choice()'s argument handling on every decision
+        proc = int(candidates[self.rng.integers(candidates.size)])
         allow_pass = bool(self.sim.running.any()) or candidates.size > 1
         return proc, allow_pass
 
@@ -320,29 +328,8 @@ class SchedulingEnv:
         the historical ``(obs, reward, done, info)`` 4-tuple) with
         ``obs=None`` at the terminal state.
         """
-        current, handle, num_ready = self._begin_step(action)
-        next_obs = self._next_decision()
-        result = self._finish_step(next_obs)
-        if handle is not None:
-            obs.TRACER.end(handle, passed=action >= num_ready, done=result.done)
-        return result
-
-    def _begin_step(self, action: int) -> tuple:
-        """Validate and apply ``action`` (start a task or register a pass).
-
-        First third of :meth:`step`; the vectorised wrapper calls it for
-        every member before driving the shared kernel to the members' next
-        decision points.  Returns ``(current_obs, tracer_handle, num_ready)``.
-        """
-        current = self._current_obs
-        sim = self.sim
-        if current is None or sim is None:
-            raise RuntimeError("call reset() before step()")
+        current = self._check_action(action)
         num_ready = len(current.ready_tasks)
-        if not 0 <= action < current.num_actions:
-            raise ValueError(
-                f"action {action} out of range [0, {current.num_actions})"
-            )
         tracer = obs.TRACER
         handle = (
             tracer.begin(
@@ -354,15 +341,44 @@ class SchedulingEnv:
             if tracer.enabled
             else None
         )
-        if action < num_ready:
-            sim.start(int(current.ready_tasks[action]), current.current_proc)
+        task = self._take_action(action)
+        if task is not None:
+            self.sim.start(task, current.current_proc)
+        next_obs = self._next_decision()
+        result = self._finish_step(next_obs)
+        if handle is not None:
+            tracer.end(handle, passed=action >= num_ready, done=result.done)
+        return result
+
+    def _check_action(self, action: int) -> Observation:
+        """Validate ``action`` against the pending decision; returns it."""
+        current = self._current_obs
+        if current is None or self.sim is None:
+            raise RuntimeError("call reset() before step()")
+        if not 0 <= action < current.num_actions:
+            raise ValueError(
+                f"action {action} out of range [0, {current.num_actions})"
+            )
+        return current
+
+    def _take_action(self, action: int) -> Optional[int]:
+        """Record a checked ``action``; returns the task the caller must
+        start on ``current_proc``, or ``None`` for ∅ (registered as a pass).
+
+        The vectorised wrapper calls it for every member, then starts all
+        members' tasks in one kernel call.
+        """
+        current = self._current_obs
+        assert current is not None and self._passed is not None
+        if action < len(current.ready_tasks):
             # an assignment changes node features (status/occupancy) even at
             # the same instant — invalidate the embedding memo.  ∅ does not.
             self._memo_epoch += 1
-        else:  # ∅: this processor declines until the next event
-            assert current.allow_pass
-            self._passed[current.current_proc] = True
-        return current, handle, num_ready
+            return int(current.ready_tasks[action])
+        # ∅: this processor declines until the next event
+        assert current.allow_pass
+        self._passed[current.current_proc] = True
+        return None
 
     def _finish_step(self, next_obs: Optional[Observation]) -> StepResult:
         """Reward/done/info bookkeeping once the next decision is known.

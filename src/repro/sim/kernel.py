@@ -117,10 +117,12 @@ class SimKernel:
         #: directly from outside
         self._noise_det = np.ones(k, dtype=bool)
         self._comm_free = np.ones(k, dtype=bool)
-        #: token per distinct graph object — fused successor release groups
-        #: completed tasks by token so mixed-graph kernels stay correct
+        #: token per distinct graph *structure* (``TaskGraph.structure_key``)
+        #: — fused successor release and type gathers group rows by token,
+        #: so mixed-graph kernels stay correct while structurally equal
+        #: graph objects (one per vectorised member) share the fast paths
         self._graph_tokens = np.full(k, -1, dtype=np.int64)
-        self._token_graphs: dict = {}
+        self._structure_tokens: dict = {}
         self._next_token = 0
 
         self._views: List[Any] = []
@@ -182,13 +184,22 @@ class SimKernel:
             )
         n = graph.num_tasks
         self._ensure_capacity(n)
-        self.graphs[row] = graph
-        token = self._token_graphs.get(id(graph))
-        if token is None or self._token_graphs[id(graph)][1] is not graph:
-            token = (self._next_token, graph)
+        key = graph.structure_key()
+        token = self._structure_tokens.get(key)
+        if token is None:
+            if len(self._structure_tokens) >= 4 * self.num_rows:
+                # per-episode graph factories bind a new structure every
+                # reset: keep only the bound rows' structures, so the map
+                # stays bounded (a dropped structure gets a fresh token)
+                self._structure_tokens = {
+                    g.structure_key(): int(t)
+                    for g, t in zip(self.graphs, self._graph_tokens)
+                    if g is not None
+                }
+            token = self._structure_tokens[key] = self._next_token
             self._next_token += 1
-            self._token_graphs[id(graph)] = token
-        self._graph_tokens[row] = token[0]
+        self.graphs[row] = graph
+        self._graph_tokens[row] = token
         if noise is not None:
             self.set_noise(row, noise)
         if rng is not None:
@@ -369,17 +380,7 @@ class SimKernel:
             raise AssertionError("unreachable: sequential replay must raise")
 
         dst_types = self.platform.resource_types[procs]
-        if self._next_token == 1:
-            # every row ever bound shares one graph — the common case
-            types = self.graphs[int(rows[0])].task_types[tasks]
-        else:
-            types = np.empty(tasks.size, dtype=np.int64)
-            tokens = self._graph_tokens[rows]
-            for token in np.unique(tokens):
-                group = tokens == token
-                graph = self.graphs[int(rows[group][0])]
-                types[group] = graph.task_types[tasks[group]]
-        expected = self.durations.table[types, dst_types]
+        expected = self.durations.table[self._task_types(rows, tasks), dst_types]
 
         noises, rngs, comms = self.noises, self.rngs, self.comms
         if self._noise_det[rows].all():
@@ -579,36 +580,53 @@ class SimKernel:
         """Boolean mask per requested row: any task ready."""
         return self.ready[rows].any(axis=1)
 
-    def expected_remaining_rows(self, rows: np.ndarray) -> np.ndarray:
-        """(R, p) expected remaining time per processor (0.0 when idle).
+    def busy_remaining(self, rows: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Expected remaining time of every busy processor of ``rows``.
 
-        The fused form of ``Simulation.expected_remaining_many`` over many
-        rows: one duration-table gather for every busy processor of every
-        requested row — what ``StateBuilder.build_many`` feeds every member
-        observation from.
+        Returns flat ``(row_index, proc, task, remaining)`` arrays in
+        row-major, processor-ascending order; ``row_index`` indexes
+        ``rows``.  Each entry is bitwise ``Simulation.expected_remaining``
+        of that processor: one duration-table gather serves every row.
         """
         rows = np.asarray(rows, dtype=np.int64)
         pt = self.proc_task[rows]
-        out = np.zeros(pt.shape, dtype=np.float64)
         r_idx, p_idx = np.nonzero(pt != IDLE)
-        if r_idx.size == 0:
-            return out
-        rows_flat = rows[r_idx]
         tasks = pt[r_idx, p_idx]
-        if self._next_token == 1:
-            types = self.graphs[int(rows_flat[0])].task_types[tasks]
-        else:
-            tokens = self._graph_tokens[rows_flat]
-            types = np.empty(tasks.size, dtype=np.int64)
-            for token in np.unique(tokens):
-                group = tokens == token
-                graph = self.graphs[int(rows_flat[group][0])]
-                types[group] = graph.task_types[tasks[group]]
-        exp = self.durations.table[types, self.platform.resource_types[p_idx]]
-        out[r_idx, p_idx] = np.maximum(
+        if r_idx.size == 0:
+            return r_idx, p_idx, tasks, np.empty(0, dtype=np.float64)
+        rows_flat = rows[r_idx]
+        exp = self.durations.table[
+            self._task_types(rows_flat, tasks), self.platform.resource_types[p_idx]
+        ]
+        remaining = np.maximum(
             0.0, self.start_time[rows_flat, tasks] + exp - self.time[rows_flat]
         )
+        return r_idx, p_idx, tasks, remaining
+
+    def expected_remaining_rows(self, rows: np.ndarray) -> np.ndarray:
+        """(R, p) expected remaining time per processor (0.0 when idle).
+
+        The dense form of :meth:`busy_remaining` — the fused
+        ``Simulation.expected_remaining_many`` over many rows.
+        """
+        r_idx, p_idx, _tasks, remaining = self.busy_remaining(rows)
+        out = np.zeros((len(rows), self.platform.num_processors), dtype=np.float64)
+        out[r_idx, p_idx] = remaining
         return out
+
+    def _task_types(self, rows_flat: np.ndarray, tasks: np.ndarray) -> np.ndarray:
+        """Task type of each ``(row, task)`` entry, one gather per graph
+        structure among the rows."""
+        if self._next_token == 1:
+            # every row ever bound shares one structure — the common case
+            return self.graphs[int(rows_flat[0])].task_types[tasks]
+        types = np.empty(tasks.size, dtype=np.int64)
+        tokens = self._graph_tokens[rows_flat]
+        for token in np.unique(tokens):
+            group = tokens == token
+            graph = self.graphs[int(rows_flat[group][0])]
+            types[group] = graph.task_types[tasks[group]]
+        return types
 
     # ------------------------------------------------------------------ #
     # pickling (stale metric handles must not survive a checkpoint)
@@ -617,9 +635,8 @@ class SimKernel:
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_metric_handles"] = None
-        # graph-identity tokens are keyed by id(); ids do not survive a
-        # pickle round-trip, so rebuild the map on restore
-        state["_token_graphs"] = {}
+        # the token map is rebuilt from the rows' graphs on restore
+        del state["_structure_tokens"]
         # views re-register themselves in their own __setstate__; keeping
         # them here would put a kernel↔view cycle into the pickle stream and
         # a partially-restored kernel under the views' re-sync
@@ -627,10 +644,11 @@ class SimKernel:
         return state
 
     def __setstate__(self, state: dict) -> None:
+        state.pop("_token_graphs", None)  # older checkpoints' identity map
         self.__dict__.update(state)
+        self._structure_tokens = {}
         for row, graph in enumerate(self.graphs):
             if graph is not None:
-                token = self._token_graphs.get(id(graph))
-                if token is None:
-                    token = (int(self._graph_tokens[row]), graph)
-                    self._token_graphs[id(graph)] = token
+                self._structure_tokens.setdefault(
+                    graph.structure_key(), int(self._graph_tokens[row])
+                )

@@ -18,15 +18,24 @@ resources.  :class:`StateBuilder` turns the live simulator into an
 
 All quantities are normalised so that the representation is size-invariant,
 enabling the transfer experiments of §V-F.
+
+:func:`build_observations` builds the members of a vectorised environment
+together: one vectorised pass over the shared simulator kernel yields an
+:class:`ObservationBatch` (features, block-diagonal normalised adjacency,
+action sets and descriptors of all members), and each member's
+:class:`BatchObservation` is a view into it, bitwise equal to the
+per-member :meth:`StateBuilder.build` result (DESIGN.md §11.4).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from dataclasses import dataclass, fields
+from typing import Any, Dict, Optional
 
 import numpy as np
+from scipy import sparse as sp
 
+from repro import obs
 from repro.graphs.durations import DurationTable
 from repro.graphs.features import (
     NUM_STATIC_FEATURES,
@@ -37,6 +46,7 @@ from repro.graphs.taskgraph import TaskGraph
 from repro.nn.layers import gcn_normalize_adjacency
 from repro.platforms.resources import NUM_RESOURCE_TYPES
 from repro.sim.engine import Simulation
+from repro.sim.kernel import SimKernel
 
 #: extra per-node dynamic columns appended to the paper's raw features:
 #: expected duration on each resource type (normalised), remaining time of
@@ -278,6 +288,26 @@ class StateBuilder:
             graph.__dict__["_cached_window_remap"] = cached
         return cached
 
+    @staticmethod
+    def _sym_pairs(graph: TaskGraph) -> tuple:
+        """``(u, v)`` arrays of the symmetrised adjacency plus self-loops —
+        the nonzero pattern of ``Ã`` in :func:`gcn_normalize_adjacency` —
+        sorted by ``(u, v)``."""
+        cached = graph.__dict__.get("_cached_sym_pairs")
+        if cached is None:
+            n = graph.num_tasks
+            e = graph.edges
+            loops = np.arange(n, dtype=np.int64)
+            keys = np.unique(
+                np.concatenate((e[:, 0], e[:, 1], loops)) * n
+                + np.concatenate((e[:, 1], e[:, 0], loops))
+            )
+            cached = (keys // n, keys % n)
+            for arr in cached:
+                arr.setflags(write=False)
+            graph.__dict__["_cached_sym_pairs"] = cached
+        return cached
+
     def window_nodes(self, sim: Simulation) -> np.ndarray:
         """Sorted task ids inside the observation window."""
         src_mask = sim.ready | sim.running
@@ -309,21 +339,12 @@ class StateBuilder:
         sim: Simulation,
         current_proc: int,
         allow_pass: Optional[bool] = None,
-        *,
-        busy: Optional[np.ndarray] = None,
-        remaining: Optional[np.ndarray] = None,
     ) -> Observation:
         """Extract the observation for ``current_proc`` at the current instant.
 
         ``allow_pass`` overrides the default ∅-action legality (the
         environment masks ∅ only when declining would deadlock: nothing is
         running *and* no other idle processor remains to be offered).
-
-        ``busy``/``remaining`` optionally inject the busy-processor set and
-        its expected-remaining vector when the caller already gathered them —
-        :func:`build_observations` computes both for all members of a shared
-        kernel in one fused pass and feeds them through here, so the batched
-        path produces bit-identical features without re-deriving per member.
         """
         graph = sim.graph
         nodes = self.window_nodes(sim)
@@ -339,12 +360,10 @@ class StateBuilder:
 
         remap = self._remap_scratch(graph)
         remap[nodes] = np.arange(nodes.size)
-        if busy is None:
-            busy = sim.busy_processors()
-        remaining_all = remaining
+        busy = sim.busy_processors()
+        remaining_all = None
         if busy.size:
-            if remaining_all is None:
-                remaining_all = sim.expected_remaining_many(busy)
+            remaining_all = sim.expected_remaining_many(busy)
             pos = remap[sim.proc_task[busy]]
             inside = pos >= 0
             if inside.any():
@@ -512,52 +531,388 @@ class StateBuilder:
         return descriptor
 
 
+
+
+class BatchObservation(Observation):
+    """One member of an :class:`ObservationBatch`; its arrays are views.
+
+    ``features``, ``ready_positions``, ``ready_tasks`` and ``proc_features``
+    slice the batch arrays.  ``norm_adj`` is cut out of the batch's
+    block-diagonal CSR on first read — dense for a dense-mode builder, CSR
+    for a sparse one — so consumers that never read it (the agent's batched
+    glue) never pay for it.  Pickling or copying yields a plain
+    :class:`Observation` with the adjacency materialised: checkpoints and
+    worker pipes carry exactly the values a per-member build produces.
+    """
+
+    @classmethod
+    def _view(
+        cls, batch: "ObservationBatch", member: int, sparse: bool, **values: Any
+    ) -> "BatchObservation":
+        """Member ``member`` of ``batch``: ``values`` are the eagerly cut
+        fields; the defaulted ones keep their defaults.  Fills the instance
+        dict directly — K views are made per step, and the dataclass
+        ``__init__`` would route ``norm_adj`` through the property."""
+        ob = cls.__new__(cls)
+        ob.__dict__.update(
+            values,
+            _norm_adj=None,
+            embed_key=None,
+            extra_node_features=0,
+            _batch=batch,
+            _member=member,
+            _sparse=sparse,
+        )
+        return ob
+
+    @property  # type: ignore[override]
+    def norm_adj(self) -> object:
+        adj = self.__dict__["_norm_adj"]
+        if adj is None:
+            adj = self._batch.member_adjacency(self._member, self._sparse)
+            self.__dict__["_norm_adj"] = adj
+        return adj
+
+    @norm_adj.setter
+    def norm_adj(self, value: object) -> None:
+        self.__dict__["_norm_adj"] = value
+
+    def __reduce__(self) -> tuple:
+        return (Observation, tuple(getattr(self, f.name) for f in _OBS_FIELDS))
+
+
+_OBS_FIELDS = fields(Observation)
+
+
+class ObservationBatch:
+    """R observations built in one pass, held in block layout.
+
+    Member ``i`` owns rows ``node_offsets[i]:node_offsets[i+1]`` of
+    ``features`` and ``nodes`` (its sorted window task ids), and entries
+    ``ready_offsets[i]:ready_offsets[i+1]`` of ``ready_rows`` (block-global
+    rows of its ready tasks, i.e. its action set).  The GCN-normalised
+    block-diagonal adjacency is raw CSR — float64 ``adj_data``, int32
+    block-global ``adj_indices``, int32 ``adj_indptr`` — bitwise what
+    :func:`repro.nn.sparse.block_diag_adjacency_sparse` assembles from the
+    members' :func:`~repro.nn.layers.gcn_normalize_adjacency` windows.
+    """
+
+    def __init__(
+        self,
+        features: np.ndarray,
+        nodes: np.ndarray,
+        node_offsets: np.ndarray,
+        adj_data: np.ndarray,
+        adj_indices: np.ndarray,
+        adj_indptr: np.ndarray,
+        row_nnz: np.ndarray,
+        ready_rows: np.ndarray,
+        ready_offsets: np.ndarray,
+        proc_features: np.ndarray,
+        allow_pass: np.ndarray,
+    ) -> None:
+        self.features = features
+        self.nodes = nodes
+        self.node_offsets = node_offsets
+        self.adj_data = adj_data
+        self.adj_indices = adj_indices
+        self.adj_indptr = adj_indptr
+        self.ready_rows = ready_rows
+        self.ready_offsets = ready_offsets
+        self.proc_features = proc_features
+        self.allow_pass = allow_pass
+        #: stored entries per block row (the CSR row lengths)
+        self.row_nnz = row_nnz
+        self._node_bounds = node_offsets.tolist()
+        self._nnz_bounds = adj_indptr[node_offsets].tolist()
+        self._csr = None
+
+    @property
+    def size(self) -> int:
+        return len(self._node_bounds) - 1
+
+    def adjacency(self) -> sp.csr_matrix:
+        """The block-diagonal adjacency as one ``scipy.sparse.csr_matrix``
+        (built once; the batched GCN multiplies by it)."""
+        if self._csr is None:
+            m = self.features.shape[0]
+            self._csr = sp.csr_matrix(
+                (self.adj_data, self.adj_indices, self.adj_indptr), shape=(m, m)
+            )
+        return self._csr
+
+    def member_block(self, i: int) -> tuple:
+        """``(data, block-global columns, per-row nnz, first row)`` of member
+        ``i``'s diagonal block — views, nothing is copied."""
+        a, b = self._nnz_bounds[i], self._nnz_bounds[i + 1]
+        lo = self._node_bounds[i]
+        return (
+            self.adj_data[a:b],
+            self.adj_indices[a:b],
+            self.row_nnz[lo: self._node_bounds[i + 1]],
+            lo,
+        )
+
+    def member_adjacency(self, i: int, sparse: bool) -> object:
+        """Member ``i``'s normalised window adjacency as the per-member
+        builder returns it: frozen dense ``(m, m)`` or frozen CSR."""
+        data, cols, counts, lo = self.member_block(i)
+        m = counts.size
+        local = cols - np.int32(lo)
+        if sparse:
+            indptr = np.zeros(m + 1, dtype=np.int32)
+            np.cumsum(counts, out=indptr[1:])
+            adj = sp.csr_matrix((data.copy(), local, indptr), shape=(m, m))
+            for arr in (adj.data, adj.indices, adj.indptr):
+                arr.setflags(write=False)
+            return adj
+        dense = np.zeros((m, m), dtype=np.float64)
+        dense[np.repeat(np.arange(m), counts), local] = data
+        dense.setflags(write=False)
+        return dense
+
+
+def _build_batch(
+    builder: StateBuilder,
+    kernel: SimKernel,
+    rows: np.ndarray,
+    procs: np.ndarray,
+    allow_passes: "list[Optional[bool]]",
+    sparse: "list[bool]",
+) -> "Optional[list[BatchObservation]]":
+    """Observations of kernel ``rows`` in one vectorised pass.
+
+    Bitwise the per-member :meth:`StateBuilder.build` results: the same
+    window masks (reach rows OR-ed over the sources), the same template rows
+    patched with the same scalar formulas, and normalised adjacency entries
+    ``(1/√dᵢ)·(1/√dⱼ)`` over each window's symmetrised edges plus
+    self-loops.  Rows are grouped by graph structure (the kernel's graph
+    tokens), each group reading one graph's static arrays, so rows may hold
+    distinct graph objects and graphs of different sizes.  ``None`` when
+    the rows' feature widths differ (they cannot share a feature matrix).
+    """
+    num_rows = rows.size
+    # (row selector, graph) per structure; one structure selects every row
+    # with a slice, so its gathers below copy nothing
+    tokens = kernel._graph_tokens[rows]
+    if kernel._next_token == 1 or (tokens == tokens[0]).all():
+        parts = [(slice(None), kernel.graphs[int(rows[0])])]
+    else:
+        uniq, row_part = np.unique(tokens, return_inverse=True)
+        parts = []
+        for g in range(uniq.size):
+            sel = np.flatnonzero(row_part == g)
+            parts.append((sel, kernel.graphs[int(rows[sel[0]])]))
+    templates = [builder._feature_template(graph) for _, graph in parts]
+    template, raw_width = templates[0]
+    if any(t.shape[1] != template.shape[1] for t, _ in templates):
+        return None
+
+    ready = kernel.ready[rows]
+    running = kernel.running[rows]
+    src = ready | running
+    if not src.any(axis=1).all():
+        raise RuntimeError("no ready or running task — episode is over")
+    if builder.window > 0:
+        mask = np.zeros_like(src)
+        for sel, graph in parts:
+            n = graph.num_tasks
+            r_idx, u_idx = np.nonzero(src[sel, :n])
+            starts = np.searchsorted(r_idx, np.arange(mask[sel].shape[0]))
+            mask[sel, :n] = np.logical_or.reduceat(
+                builder._reach_mask(graph)[u_idx], starts, axis=0
+            )
+        mask &= ~kernel.finished[rows]
+        mask |= src
+    else:
+        mask = src
+    member, nodes = np.nonzero(mask)  # member-major, task ids ascending
+    total = nodes.size
+    counts = np.bincount(member, minlength=num_rows)
+    node_offsets = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(counts, out=node_offsets[1:])
+    block_rows = np.arange(total)
+    position = np.full(mask.shape, -1, dtype=np.int32)  # task → block row
+    position[member, nodes] = block_rows
+
+    if len(parts) == 1:
+        features = template[nodes]
+    else:
+        features = np.empty((total, template.shape[1]), dtype=np.float64)
+        node_part = row_part[member]
+        for g, (t, _) in enumerate(templates):
+            at = node_part == g
+            features[at] = t[nodes[at]]
+    is_ready = ready[member, nodes]
+    features[:, 2] = is_ready
+    features[:, 3] = running[member, nodes]
+    col_remaining = raw_width + NUM_RESOURCE_TYPES
+    col_exp_current = col_remaining + 1
+    busy_r, _busy_p, busy_tasks, remaining = kernel.busy_remaining(rows)
+    if busy_r.size:
+        pos = position[busy_r, busy_tasks]
+        inside = pos >= 0
+        features[pos[inside], col_remaining] = remaining[inside] / builder._scale
+    cur_types = kernel.platform.resource_types[procs]
+    node_types = np.repeat(cur_types, counts)
+    features[:, col_exp_current] = features[block_rows, raw_width + node_types]
+    features[block_rows, col_exp_current + 1 + node_types] = 1.0
+
+    # normalised adjacency from each structure's symmetrised edge list:
+    # an entry (u, v) belongs to a window iff both ends have a block row;
+    # row-major over (member, edge) with edges sorted by (u, v) is CSR order
+    entry_row, entry_col = [], []
+    for sel, graph in parts:
+        src_end, dst_end = builder._sym_pairs(graph)
+        pos_rows = position[sel]
+        pu = pos_rows[:, src_end]
+        pv = pos_rows[:, dst_end]
+        keep = (pu >= 0) & (pv >= 0)
+        entry_row.append(pu[keep])
+        entry_col.append(pv[keep])
+    if len(parts) == 1:
+        entry_row, entry_col = entry_row[0], entry_col[0]
+    else:
+        entry_row = np.concatenate(entry_row)
+        order = np.argsort(entry_row, kind="stable")
+        entry_row = entry_row[order]
+        entry_col = np.concatenate(entry_col)[order]
+    degree = np.bincount(entry_row, minlength=total)
+    inv_sqrt = 1.0 / np.sqrt(degree.astype(np.float64))
+    adj_indptr = np.zeros(total + 1, dtype=np.int32)
+    np.cumsum(degree, out=adj_indptr[1:])
+
+    ready_rows = np.flatnonzero(is_ready)
+    ready_member = member[ready_rows]
+    ready_offsets = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ready_member, minlength=num_rows), out=ready_offsets[1:])
+    ready_pos = ready_rows - node_offsets[ready_member]
+    ready_tasks = nodes[ready_rows]
+
+    num_procs = kernel.platform.num_processors
+    busy_counts = np.bincount(busy_r, minlength=num_rows)
+    proc = np.zeros((num_rows, PROC_FEATURE_DIM), dtype=np.float64)
+    proc[np.arange(num_rows), cur_types] = 1.0
+    proc[:, NUM_RESOURCE_TYPES] = (num_procs - busy_counts) / num_procs
+    proc[:, NUM_RESOURCE_TYPES + 1] = np.minimum(
+        1.0, ready.sum(axis=1) / max(1, num_procs)
+    )
+    if busy_r.size and busy_counts.max() < 8:
+        # NumPy sums fewer than 8 terms left to right from 0, and so does
+        # a weighted bincount: each row's sum is bitwise the busy-only sum
+        # whose mean the per-member descriptor takes
+        at = busy_counts > 0
+        sums = np.bincount(busy_r, weights=remaining, minlength=num_rows)
+        proc[at, NUM_RESOURCE_TYPES + 2] = (
+            sums[at] / busy_counts[at] / builder._scale
+        )
+    elif busy_r.size:
+        # longer sums are pairwise: take each busy count c's rows as one
+        # (rows, c) block, whose row-wise mean is bitwise the 1-D mean
+        first = np.cumsum(busy_counts) - busy_counts
+        for c in np.unique(busy_counts[busy_counts > 0]).tolist():
+            at = np.flatnonzero(busy_counts == c)
+            block = remaining[first[at, None] + np.arange(c)]
+            proc[at, NUM_RESOURCE_TYPES + 2] = block.mean(axis=1) / builder._scale
+
+    allow = [
+        bool(running[i].any()) if a is None else a
+        for i, a in enumerate(allow_passes)
+    ]
+    batch = ObservationBatch(
+        features=features,
+        nodes=nodes,
+        node_offsets=node_offsets,
+        adj_data=inv_sqrt[entry_row] * inv_sqrt[entry_col],
+        adj_indices=entry_col,
+        adj_indptr=adj_indptr,
+        row_nnz=degree,
+        ready_rows=ready_rows,
+        ready_offsets=ready_offsets,
+        proc_features=proc,
+        allow_pass=np.asarray(allow, dtype=bool),
+    )
+    bounds = batch._node_bounds
+    ready_bounds = ready_offsets.tolist()
+    return [
+        BatchObservation._view(
+            batch,
+            i,
+            sparse[i],
+            features=features[bounds[i]: bounds[i + 1]],
+            ready_positions=ready_pos[ready_bounds[i]: ready_bounds[i + 1]],
+            ready_tasks=ready_tasks[ready_bounds[i]: ready_bounds[i + 1]],
+            proc_features=proc[i],
+            current_proc=proc_id,
+            allow_pass=allow[i],
+            window_fingerprint=nodes[bounds[i]: bounds[i + 1]].tobytes(),
+        )
+        for i, proc_id in enumerate(procs.tolist())
+    ]
+
+
 def build_observations(
     builders: "list[StateBuilder]",
     sims: "list[Simulation]",
     procs: "list[int]",
-    allow_passes: "list[bool]",
+    allow_passes: "list[Optional[bool]]",
 ) -> "list[Observation]":
-    """Build one observation per member, batching the kernel-backed gathers.
+    """Build one observation per member, batching members of a shared kernel.
 
-    Members whose simulations share a struct-of-arrays kernel get their
-    busy-processor sets and expected-remaining vectors from **one**
-    ``(R, p)`` gather (:meth:`repro.sim.kernel.SimKernel.expected_remaining_rows`)
-    instead of R separate table lookups; the per-member assembly then runs
-    through :meth:`StateBuilder.build` with those arrays injected, producing
-    features bit-identical to the member-by-member path (the fused gather
-    applies the same scalar formula elementwise).  Members with standalone
-    simulations (or no shared kernel) fall back to the plain build.
+    Members whose simulations are rows of one struct-of-arrays kernel (and
+    whose builders agree on window and duration table) are built together
+    in one vectorised pass over the kernel arrays: the returned
+    observations are :class:`BatchObservation` views into one
+    :class:`ObservationBatch`, bitwise equal to what
+    :meth:`StateBuilder.build` returns member by member.  A lone member,
+    builder subclasses (which append their own columns) and graphs above
+    ``_REACH_CACHE_MAX_NODES`` go through the per-member build.
     """
     if not (len(builders) == len(sims) == len(procs) == len(allow_passes)):
         raise ValueError("builders/sims/procs/allow_passes must align")
-    from repro.sim.kernel import IDLE
-
-    # one fused expected-remaining gather per distinct kernel
-    by_kernel: dict = {}
-    for i, sim in enumerate(sims):
+    groups: Dict[tuple, list] = {}
+    for i, (builder, sim) in enumerate(zip(builders, sims)):
         kernel = getattr(sim, "_kernel", None)
-        if kernel is not None:
-            by_kernel.setdefault(id(kernel), (kernel, []))[1].append(i)
-    prefetched: dict = {}
-    for kernel, indices in by_kernel.values():
-        if len(indices) < 2:
-            continue  # a lone member gains nothing from the (R, p) path
-        rows = np.asarray([sims[i]._row for i in indices], dtype=np.int64)
-        remaining_rows = kernel.expected_remaining_rows(rows)
-        for j, i in enumerate(indices):
-            pt = kernel.proc_task[rows[j]]
-            busy = np.flatnonzero(pt != IDLE)
-            prefetched[i] = (busy, remaining_rows[j, busy])
-
-    out = []
-    for i, (builder, sim, proc, allow_pass) in enumerate(
-        zip(builders, sims, procs, allow_passes)
-    ):
-        busy, remaining = prefetched.get(i, (None, None))
-        out.append(
-            builder.build(
-                sim, proc, allow_pass=allow_pass, busy=busy, remaining=remaining
-            )
+        if kernel is not None and type(builder) is StateBuilder:
+            key = (id(kernel), builder.window, id(builder.durations))
+            groups.setdefault(key, []).append(i)
+    tracer = obs.TRACER
+    out: "list[Optional[Observation]]" = [None] * len(sims)
+    for members in groups.values():
+        if len(members) < 2:
+            continue  # a lone member gains nothing from the batched pass
+        kernel = sims[members[0]]._kernel
+        rows = np.asarray([sims[i]._row for i in members], dtype=np.int64)
+        if kernel.n_tasks[rows].max() > StateBuilder._REACH_CACHE_MAX_NODES:
+            continue  # no dense reach masks: the per-member BFS path
+        handle = (
+            tracer.begin("state_build", batch=len(members))
+            if tracer.enabled
+            else None
         )
+        built = _build_batch(
+            builders[members[0]],
+            kernel,
+            rows,
+            np.asarray([procs[i] for i in members], dtype=np.int64),
+            [allow_passes[i] for i in members],
+            [builders[i].sparse for i in members],
+        )
+        if built is not None:
+            for i, ob in zip(members, built):
+                out[i] = ob
+        if handle is not None:
+            tracer.end(handle, nodes=built[0]._batch.nodes.size if built else 0)
+    for i, ob in enumerate(out):
+        if ob is None:
+            handle = (
+                tracer.begin("state_build", proc=int(procs[i]))
+                if tracer.enabled
+                else None
+            )
+            ob = out[i] = builders[i].build(
+                sims[i], procs[i], allow_pass=allow_passes[i]
+            )
+            if handle is not None:
+                tracer.end(handle, nodes=ob.num_nodes)
     return out

@@ -249,14 +249,8 @@ class JobStateBuilder(StateBuilder):
         sim,
         current_proc: int,
         allow_pass: Optional[bool] = None,
-        *,
-        busy: Optional[np.ndarray] = None,
-        remaining: Optional[np.ndarray] = None,
     ) -> Observation:
-        built = super().build(
-            sim, current_proc, allow_pass=allow_pass, busy=busy,
-            remaining=remaining,
-        )
+        built = super().build(sim, current_proc, allow_pass=allow_pass)
         meta = sim.graph.__dict__["_streaming_jobs"]
         assert built.window_fingerprint is not None
         nodes = np.frombuffer(built.window_fingerprint, dtype=np.int64)

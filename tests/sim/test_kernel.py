@@ -84,6 +84,20 @@ class TestKernelBasics:
         m0.start(int(m0.ready_tasks()[0]), 0)
         assert vec.kernel.running[0].any()
 
+    def test_structurally_equal_graphs_share_one_token(self):
+        """Distinct graph objects of one shape take the single-structure
+        fast paths; the token map stays bounded under a graph factory."""
+        vec = VecSimulation(
+            [cholesky_dag(4), cholesky_dag(4)], PLATFORM, CHOLESKY_DURATIONS, rng=0
+        )
+        assert vec.kernel._next_token == 1
+        for seed in range(12):
+            vec.member(1).rebind(layered_dag(3, 3, rng=seed))
+            assert len(vec.kernel._structure_tokens) <= 4 * vec.kernel.num_rows
+        rng = np.random.default_rng(1)
+        for member in vec.members:
+            _random_drive(member, rng)
+
     def test_padding_never_becomes_ready(self):
         small, big = cholesky_dag(3), cholesky_dag(8)
         vec = VecSimulation([small, big], PLATFORM, CHOLESKY_DURATIONS, rng=0)

@@ -1,6 +1,9 @@
 """The documented public API surface."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -63,6 +66,26 @@ class TestPublicAPI:
     def test_experiment_spec_exposed(self):
         spec = repro.ExperimentSpec(tiles=3)
         assert spec.to_dict()["tiles"] == 3
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        """``scipy.stats`` takes about a second to import and only the
+        confidence-interval helper needs it, so importing the package, the
+        CLI or the server must not pull it in."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        code = (
+            "import sys, repro, repro.cli, repro.serve; "
+            "print('scipy.stats' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 class TestCuratedAll:
